@@ -37,8 +37,13 @@ from .exact import (
     psd_check_exact,
     rationalize,
 )
-from .graphs import Graph, iter_bits, max_weight_independent_set, \
-    maximal_independent_sets
+from .graphs import (
+    CapacityError,
+    Graph,
+    iter_bits,
+    max_weight_independent_set,
+    maximal_independent_sets,
+)
 
 
 class VectorFileError(ValueError):
@@ -138,8 +143,11 @@ def parse_vector_file(text: str, mode: str = "auto") -> ProjectorSet:
 
     First data line: the dimension d.  Each later line: d entries,
     either exact ("p/q", "p/q+r/s i") or decimal floats; '#' starts a
-    comment.  mode "auto" uses exact arithmetic iff every entry parses
-    as a Gaussian rational.
+    comment.  A line holding a comma is split on commas only, so an
+    entry may contain spaces ("1/2 + 1/2 i, 0").  Otherwise it is split
+    on whitespace and a lone "i" token joins the entry before it: "0 i"
+    is one entry, and "1/2 + 1/2 i" is three entries.  mode "auto" uses
+    exact arithmetic iff every entry parses as a Gaussian rational.
     """
     if mode not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -489,8 +497,6 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
             return SicCertificate("NOT_SIC", g, obstruction=obs,
                                   diagnostics=obs.note)
 
-    mis = maximal_independent_sets(g)
-
     if s.exact:
         fr = fractional_chromatic_number(g)
         if fr.value > s.d:
@@ -503,7 +509,7 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
                     return SicCertificate("SIC", g, w=tuple(cand), y=y,
                                           psd_witness=psd, rounds=0)
 
-    w_float, rounds, lam, diag = _cutting_planes(s, g, mis, max_rounds, tol)
+    w_float, rounds, lam, diag = _cutting_planes(s, g, max_rounds)
     if w_float is None:
         return SicCertificate("UNDECIDED", g, rounds=rounds, diagnostics=diag)
 
@@ -527,11 +533,18 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
                     f"{lam:.2e}, but exact verification needs exact entries")
 
 
-def _cutting_planes(s: ProjectorSet, g: Graph, mis: list[int],
-                    max_rounds: int, tol: float):
+def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):
     """Minimize y over (w, y) with all independent-set sums ≤ y and an
     accumulating family of state cuts Σ_i w_i ⟨x|Π_i|x⟩ ≥ 1, one new
-    cut per round at the bottom eigenvector of Σ w_i Π_i."""
+    cut per round at the bottom eigenvector of Σ w_i Π_i.  Each
+    maximal independent set is one LP row, so past the enumeration cap
+    of maximal_independent_sets the loop does not run."""
+    try:
+        mis = maximal_independent_sets(g)
+    except CapacityError as exc:
+        return None, 0, -np.inf, (
+            f"cutting planes not run: {exc}, the enumeration cap; the LP "
+            "needs one row per maximal independent set")
     n = s.n
     arr = s.numeric_vectors()
     projs = [np.outer(arr[i], arr[i].conj()) for i in range(n)]
@@ -540,7 +553,6 @@ def _cutting_planes(s: ProjectorSet, g: Graph, mis: list[int],
     cuts = [np.full(n, 1.0 / s.d)]
     rounds = 0
     lam = -np.inf
-    w = None
     while rounds < max_rounds:
         rounds += 1
         n_mis = len(mis)
@@ -561,10 +573,7 @@ def _cutting_planes(s: ProjectorSet, g: Graph, mis: list[int],
             return None, rounds, lam, f"LP solver failed: {res.message}"
         w = res.x[:n]
         y = res.x[n]
-        m = np.zeros((s.d, s.d), dtype=complex)
-        for i in range(n):
-            m += w[i] * projs[i]
-        eigvals, eigvecs = np.linalg.eigh(m)
+        eigvals, eigvecs = np.linalg.eigh(_numeric_weighted_sum(s, w))
         lam = float(eigvals[0])
         if lam >= 1 - 1e-9:
             if y < 1 - 1e-12:

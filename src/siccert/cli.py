@@ -31,7 +31,6 @@ from .coloring import chromatic_number, fractional_chromatic_number
 from .enumeration import enumerate_square_free_connected
 from .exact import format_gaussian, format_rational
 from .graphs import (
-    CapacityError,
     Graph6Error,
     cone,
     encode_graph6,
@@ -48,7 +47,7 @@ EXIT_NEGATIVE = 3  # NOT_SIC / degenerate
 EXIT_UNDECIDED = 4  # UNDECIDED / failed
 
 _INPUT_ERRORS = (Graph6Error, VectorFileError, DuplicateProjectorError,
-                 AmbiguousOrthogonalityError, CapacityError, OSError)
+                 AmbiguousOrthogonalityError, OSError)
 
 
 def _open_output(path: str | None):

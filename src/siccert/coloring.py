@@ -132,7 +132,7 @@ def _greedy_maximal_extension(g: Graph, s: int) -> int:
     return s
 
 
-def fractional_chromatic_number(g: Graph, mis_cap: int = 100_000) -> FractionalResult:
+def fractional_chromatic_number(g: Graph) -> FractionalResult:
     """χ_f(g) as an exact rational, via lazy constraint generation.
 
     Constraints are generated on demand: starting from one maximal
@@ -144,7 +144,7 @@ def fractional_chromatic_number(g: Graph, mis_cap: int = 100_000) -> FractionalR
     sets, even when those were never enumerated.
     """
     try:
-        all_sets: list[int] | None = maximal_independent_sets(g, cap=mis_cap)
+        all_sets: list[int] | None = maximal_independent_sets(g)
     except CapacityError:
         all_sets = None
 

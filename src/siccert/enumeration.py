@@ -14,17 +14,17 @@ emission filter, plus a pruning rule at the final level.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 
 from .canon import CanonResult, canonicalize, equitable_partition
-from .coloring import chi_greater_than, fractional_chromatic_number
+from .coloring import chi_greater_than
 from .graphs import (
     Graph,
     connected_components,
     encode_graph6,
     is_connected,
+    is_square_free,
     iter_bits,
     parse_graph6,
 )
@@ -47,6 +47,20 @@ class EnumerationReport:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
+
+    def emit(self, g: Graph, sink=None) -> None:
+        """Count one class, apply the χ > d filter, then pass g to sink."""
+        self.counts[g.n] = self.counts.get(g.n, 0) + 1
+        if self.chi_filter is not None and chi_greater_than(g, self.chi_filter):
+            self.filtered.append(encode_graph6(g))
+        if sink is not None:
+            sink(g)
+
+    def merge(self, other: EnumerationReport) -> None:
+        """Add the counts and filtered graphs of a worker's report."""
+        for k, c in other.counts.items():
+            self.counts[k] = self.counts.get(k, 0) + c
+        self.filtered.extend(other.filtered)
 
 
 def _apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -135,37 +149,40 @@ def _children(parent: Graph, canon: CanonResult, *,
     return out
 
 
-def _grow_subtree(seed: Graph, seed_canon: CanonResult, n_max: int,
-                  chi_gt: int | None, emit) -> None:
-    """Depth-first expansion of one seed to n_max, emitting connected
-    graphs (as canonical-form Graphs) at every level above the seed's."""
+def _expand(g: Graph, cres: CanonResult, report: EnumerationReport,
+            sink) -> list[tuple[Graph, CanonResult]]:
+    """One growth step: emit every connected accepted child of g (as a
+    canonical-form Graph) and return the children still to grow."""
+    n_max = report.n_max
+    grow = []
+    for child, ccres in _children(g, cres, require_connected=g.n + 1 == n_max):
+        if is_connected(child):
+            report.emit(Graph(child.n, ccres.key), sink)
+        if child.n < n_max:
+            grow.append((child, ccres))
+    return grow
+
+
+def _grow_subtree(seed: Graph, seed_canon: CanonResult,
+                  report: EnumerationReport, sink) -> None:
+    """Depth-first expansion of one seed to report.n_max, emitting
+    connected graphs at every level above the seed's."""
     stack = [(seed, seed_canon)]
     while stack:
         g, cres = stack.pop()
-        last = g.n + 1 == n_max
-        for child, ccres in _children(g, cres, require_connected=last):
-            if is_connected(child):
-                emit(Graph(child.n, ccres.key), ccres, chi_gt)
-            if child.n < n_max:
-                stack.append((child, ccres))
+        stack.extend(_expand(g, cres, report, sink))
 
 
-def _seed_worker(args) -> tuple[dict[int, int], list[str], list[str] | None]:
+def _seed_worker(args) -> tuple[EnumerationReport, list[str] | None]:
+    """Pool task: grow one seed in its own report; with keep_graphs the
+    emitted graphs come back as graph6, in emission order."""
     rows, n_max, chi_gt, keep_graphs = args
     seed = Graph(len(rows), rows)
-    counts: dict[int, int] = {}
-    filtered: list[str] = []
+    report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
     kept: list[str] | None = [] if keep_graphs else None
-
-    def emit(cg: Graph, cres: CanonResult, chi):
-        counts[cg.n] = counts.get(cg.n, 0) + 1
-        if chi is not None and chi_greater_than(cg, chi):
-            filtered.append(encode_graph6(cg))
-        if kept is not None:
-            kept.append(encode_graph6(cg))
-
-    _grow_subtree(seed, canonicalize(seed), n_max, chi_gt, emit)
-    return counts, filtered, kept
+    sink = None if kept is None else (lambda g: kept.append(encode_graph6(g)))
+    _grow_subtree(seed, canonicalize(seed), report, sink)
+    return report, kept
 
 
 def enumerate_square_free_connected(
@@ -178,57 +195,40 @@ def enumerate_square_free_connected(
     """Generate every square-free connected graph class with 1..n_max
     vertices exactly once, in canonical labeling.
 
-    sink, when given, is called with each emitted Graph.  With
-    workers > 1 the level-8 subtrees run in separate processes and
-    sink calls happen serially in the parent afterwards.
+    sink, when given, is called with each emitted Graph: levels up to
+    SEED_LEVEL breadth-first, then each seed's subtree depth-first.
+    With workers > 1 the seed subtrees run in separate processes and
+    their sink calls are replayed serially in the parent afterwards,
+    in the same order.
     """
     if not 1 <= n_max <= MAX_ENUM_N:
         raise ValueError(f"n_max must be within 1..{MAX_ENUM_N}")
     t0 = time.perf_counter()
     report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
 
-    def emit(cg: Graph, cres: CanonResult, chi):
-        report.counts[cg.n] = report.counts.get(cg.n, 0) + 1
-        if chi is not None and chi_greater_than(cg, chi):
-            report.filtered.append(encode_graph6(cg))
-        if sink is not None:
-            sink(cg)
-
     root = Graph.empty(1)
     root_canon = canonicalize(root)
-    emit(Graph(1, root_canon.key), root_canon, chi_gt)
+    report.emit(Graph(1, root_canon.key), sink)
 
-    seed_level = min(SEED_LEVEL, n_max)
     level: list[tuple[Graph, CanonResult]] = [(root, root_canon)]
-    for size in range(2, seed_level + 1):
-        nxt = []
-        last = size == n_max
-        for g, cres in level:
-            for child, ccres in _children(g, cres, require_connected=last):
-                if is_connected(child):
-                    emit(Graph(child.n, ccres.key), ccres, chi_gt)
-                if size < n_max:
-                    nxt.append((child, ccres))
-        level = nxt
+    for _ in range(2, min(SEED_LEVEL, n_max) + 1):
+        level = [nxt for g, cres in level
+                 for nxt in _expand(g, cres, report, sink)]
 
-    if n_max > seed_level:
+    if n_max > SEED_LEVEL:
         if workers > 1:
-            keep = sink is not None
-            jobs = [(g.rows, n_max, chi_gt, keep) for g, _ in level]
+            jobs = [(g.rows, n_max, chi_gt, sink is not None) for g, _ in level]
             with multiprocessing.Pool(workers) as pool:
                 results = pool.map(_seed_worker, jobs)
-            for counts, filtered, kept in results:
-                for k, c in counts.items():
-                    report.counts[k] = report.counts.get(k, 0) + c
-                report.filtered.extend(filtered)
-                if kept is not None:
-                    # serializing adapter: deliveries deferred from the
-                    # workers are replayed in the parent process
-                    for s in kept:
-                        sink(parse_graph6(s))
+            for sub, kept in results:
+                report.merge(sub)
+                # serializing adapter: deliveries deferred from the
+                # workers are replayed in the parent process
+                for s in kept or ():
+                    sink(parse_graph6(s))
         else:
             for g, cres in level:
-                _grow_subtree(g, cres, n_max, chi_gt, emit)
+                _grow_subtree(g, cres, report, sink)
 
     report.filtered.sort(key=lambda s: (len(s), s))
     report.wall_time = time.perf_counter() - t0
@@ -254,38 +254,16 @@ def brute_force_enumerate(n: int, *, square_free: bool = False,
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             m ^= low
-        if square_free and not _sf_rows(rows):
-            continue
-        if connected and not _conn_rows(n, rows):
-            continue
         g = Graph(n, tuple(rows))
+        if square_free and not is_square_free(g):
+            continue
+        if connected and not is_connected(g):
+            continue
         key = canonicalize(g).key
         if key not in seen:
             seen.add(key)
             out.append(Graph(n, key))
     return out
-
-
-def _sf_rows(rows: list[int]) -> bool:
-    n = len(rows)
-    for u in range(n):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            if (ru & rows[v]).bit_count() >= 2:
-                return False
-    return True
-
-
-def _conn_rows(n: int, rows: list[int]) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
 
 
 # the eight 13-vertex square-free connected classes with χ > 3, as
@@ -304,27 +282,3 @@ THIRTEEN_CHI4_G6 = (
 
 YU_OH_G6 = "L?AB?vOLDPHa`o"
 
-
-@dataclass(frozen=True)
-class ThirteenVertexCensus:
-    chi_gt3: tuple[str, ...]  # graph6, canonical labeling
-    chi_f_gt3: tuple[tuple[str, object], ...]  # (graph6, exact value)
-
-
-def thirteen_vertex_census(workers: int | None = None) -> ThirteenVertexCensus:
-    """Full 13-vertex run: every square-free connected class with
-    χ > 3, and among those the ones with χ_f > 3 with exact values.
-
-    This enumerates all thirteen-vertex classes and takes hours of
-    CPU time; tests default to verifying the known list directly.
-    """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    report = enumerate_square_free_connected(13, chi_gt=3, workers=workers)
-    found = [s for s in report.filtered if len(s) == 14]
-    chif = []
-    for s in found:
-        val = fractional_chromatic_number(parse_graph6(s)).value
-        if val > 3:
-            chif.append((s, val))
-    return ThirteenVertexCensus(tuple(found), tuple(chif))

@@ -148,23 +148,6 @@ def gm_identity(d: int) -> Matrix:
     return [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
 
 
-def gm_zero(d: int) -> Matrix:
-    return [[GR_ZERO] * d for _ in range(d)]
-
-
-def gm_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def gm_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def gm_scale(c, a: Matrix) -> Matrix:
-    cc = GaussianRational.of(c)
-    return [[cc * x for x in row] for row in a]
-
-
 def gm_is_hermitian(a: Matrix) -> bool:
     d = len(a)
     return all(a[i][j] == a[j][i].conjugate() for i in range(d) for j in range(d))
@@ -488,7 +471,7 @@ def psd_check_exact(m: Matrix) -> PsdResult:
 def psd_reconstruct(res: PsdResult, d: int) -> Matrix:
     """Rebuild L diag(pivots) L† from a positive PsdResult."""
     assert res.psd and res.lower is not None and res.pivots is not None
-    out = gm_zero(d)
+    out = [[GR_ZERO] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
             acc = GR_ZERO
@@ -498,17 +481,3 @@ def psd_reconstruct(res: PsdResult, d: int) -> Matrix:
             out[i][j] = acc
     return out
 
-
-def real_embedding(m: Matrix) -> Matrix:
-    """[[Re, -Im], [Im, Re]] block matrix; PSD iff the original is."""
-    d = len(m)
-    out = [[GR_ZERO] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        for j in range(d):
-            re = GaussianRational(m[i][j].re, Fraction(0))
-            im = GaussianRational(m[i][j].im, Fraction(0))
-            out[i][j] = re
-            out[i + d][j + d] = re
-            out[i + d][j] = im
-            out[i][j + d] = -im
-    return out

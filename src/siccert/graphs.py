@@ -36,13 +36,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask rows."""
@@ -203,19 +196,6 @@ def is_square_free(g: Graph) -> bool:
     return True
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    full = g.vertex_mask()
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
-
-
 def connected_components(g: Graph) -> list[int]:
     """Component vertex masks, ordered by lowest contained vertex."""
     comps = []
@@ -233,6 +213,10 @@ def connected_components(g: Graph) -> list[int]:
         comps.append(seen)
         todo &= ~seen
     return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) == 1
 
 
 def is_independent(g: Graph, s: int) -> bool:

@@ -91,11 +91,13 @@ def test_criterion_1_census_total(census12):
         ok = ok and counts[n] == oracle
     # n = 7 oracle value, frozen from the same brute-force procedure
     ok = ok and counts[7] == 57
+    # the levels grown inside the seed subtrees (OEIS A077269)
+    ok = ok and counts[11] == 18502 and counts[12] == 120221
     assert record_criterion(
         1, ok,
         f"census over n <= 12 totals {total} (expected 143129) in "
         f"{wall:.0f}s; per-n counts for n <= 7 match the brute-force "
-        "oracle")
+        "oracle, and n = 11, 12 match OEIS A077269 (18502, 120221)")
 
 
 def test_criterion_2_unique_twelve_vertex_outlier(census12):

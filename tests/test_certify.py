@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siccert import fixture_path
 from siccert.canon import canonical_key
@@ -74,6 +76,30 @@ class TestProjectorSet:
         assert all(not m[i][j] for i in range(3) for j in range(3) if i != j)
 
 
+@st.composite
+def exact_sets(draw):
+    """Exact sets with zero real parts, negative imaginary parts and
+    large denominators among their entries."""
+    d = draw(st.integers(2, 4))
+    part = st.one_of(st.just(Fraction(0)),
+                     st.fractions(max_denominator=10 ** 15))
+    entry = st.builds(GaussianRational, part, part)
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    return ProjectorSet.from_exact(d, draw(st.lists(vec, min_size=1,
+                                                    max_size=6)))
+
+
+@st.composite
+def numeric_sets(draw):
+    d = draw(st.integers(2, 4))
+    part = st.one_of(st.just(0.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    entry = st.one_of(st.builds(complex, part), st.builds(complex, part, part))
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    return ProjectorSet.from_numeric(d, draw(st.lists(vec, min_size=1,
+                                                      max_size=6)))
+
+
 class TestVectorFiles:
     def test_fixture_parses_exact(self):
         text = fixture_path("yu_oh_d3.vec").read_text()
@@ -81,19 +107,23 @@ class TestVectorFiles:
         assert s.exact and s.d == 3 and s.n == 13
         assert s.vectors == yu_oh().vectors
 
-    def test_round_trip_exact(self):
-        s = ProjectorSet.from_exact(2, [
-            (Fraction(1, 2), GaussianRational(Fraction(1, 3), Fraction(-2, 5))),
-            (1, -1)])
+    @settings(deadline=None)
+    @given(exact_sets())
+    @example(ProjectorSet.from_exact(2, [
+        (Fraction(1, 2), GaussianRational(Fraction(1, 3), Fraction(-2, 5))),
+        (1, -1)]))
+    def test_round_trip_exact(self, s):
         text = write_vector_file(s, comment="two rays")
         back = parse_vector_file(text)
-        assert back.exact and back.vectors == s.vectors
+        assert back.exact and back.d == s.d and back.vectors == s.vectors
 
-    def test_round_trip_numeric(self):
-        s = ProjectorSet.from_numeric(3, [(0.5, -0.25, 0.0),
-                                          (0.1 + 0.2j, 0.0, 1.0)])
+    @settings(deadline=None)
+    @given(numeric_sets())
+    @example(ProjectorSet.from_numeric(3, [(0.5, -0.25, 0.0),
+                                           (0.1 + 0.2j, 0.0, 1.0)]))
+    def test_round_trip_numeric(self, s):
         back = parse_vector_file(write_vector_file(s))
-        assert not back.exact
+        assert not back.exact and back.d == s.d
         assert np.allclose(np.array(back.vectors), np.array(s.vectors))
 
     def test_mode_detection(self):
@@ -307,6 +337,14 @@ class TestCertifyUndecided:
         cert = certify_sic(s, tol=1e-9)
         assert cert.status == "UNDECIDED"
         assert "exact" in cert.diagnostics
+
+    def test_past_the_mis_cap(self):
+        # 17 orthogonal pairs in d = 2: 2^17 maximal independent sets,
+        # past the 100000-set enumeration cap
+        pairs = [v for k in range(1, 18) for v in ((1, k), (-k, 1))]
+        cert = certify_sic(ProjectorSet.from_exact(2, pairs))
+        assert cert.status == "UNDECIDED"
+        assert "100000" in cert.diagnostics
 
     def test_structurally_blocked_exact_set(self):
         # basis plus a skew ray: the extra vertex is isolated in the

@@ -121,6 +121,16 @@ class TestCertify:
         assert code == 4
         assert "status UNDECIDED" in out
 
+    def test_past_the_mis_cap_exit_4(self, capsys, tmp_path):
+        # 17 orthogonal pairs: a valid input past the 100000-set cap on
+        # maximal independent sets gets a verdict, not an input error
+        f = tmp_path / "pairs.vec"
+        f.write_text("2\n" + "".join(f"1 {k}\n{-k} 1\n" for k in range(1, 18)))
+        code, out, _ = run(capsys, "certify", str(f))
+        assert code == 4
+        assert out.splitlines()[0] == "status UNDECIDED"
+        assert "100000 maximal independent sets" in out
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/x.vec")
         assert code == 2

@@ -64,11 +64,17 @@ class TestSmallCensus:
         assert par.counts == seq.counts
 
     def test_workers_sink_replay(self):
+        serial = []
+        enumerate_square_free_connected(9, sink=serial.append)
         seen = []
         report = enumerate_square_free_connected(9, sink=seen.append,
                                                  workers=2)
         assert len(seen) == report.total
         assert len({canonical_key(g) for g in seen}) == report.total
+        # the replay keeps the serial sink order, which is what keeps
+        # the CLI output byte-identical for any worker count
+        assert [encode_graph6(g) for g in seen] == \
+            [encode_graph6(g) for g in serial]
 
     def test_validation(self):
         with pytest.raises(ValueError):
