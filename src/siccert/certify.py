@@ -38,11 +38,11 @@ from .exact import (
     rationalize,
 )
 from .graphs import (
-    CapacityError,
     Graph,
+    heaviest_maximal_independent_set,
     iter_bits,
     max_weight_independent_set,
-    maximal_independent_sets,
+    maximal_set_per_vertex,
 )
 
 
@@ -484,8 +484,10 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
 
     Exact sets: scan for structural obstructions (NOT_SIC), then try
     exact weight candidates from the fractional-clique LP, then run
-    the floating cutting-plane loop and rationalize its answer.  A
-    SIC verdict always carries exactly verified (w, y) and the PSD
+    the floating cutting-plane loop and rationalize its answer.  Both
+    LPs add independent-set rows lazily from one oracle, the heaviest
+    maximal independent set, and never list all of them.  A SIC
+    verdict always carries exactly verified (w, y) and the PSD
     factorization.  Numeric sets get the floating loop only, so their
     best possible answer is UNDECIDED with diagnostics.
     """
@@ -534,45 +536,42 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
 
 
 def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):
-    """Minimize y over (w, y) with all independent-set sums ≤ y and an
-    accumulating family of state cuts Σ_i w_i ⟨x|Π_i|x⟩ ≥ 1, one new
-    cut per round at the bottom eigenvector of Σ w_i Π_i.  Each
-    maximal independent set is one LP row, so past the enumeration cap
-    of maximal_independent_sets the loop does not run."""
-    try:
-        mis = maximal_independent_sets(g)
-    except CapacityError as exc:
-        return None, 0, -np.inf, (
-            f"cutting planes not run: {exc}, the enumeration cap; the LP "
-            "needs one row per maximal independent set")
+    """Minimize y over (w, y) with independent-set sums ≤ y and state
+    cuts Σ_i w_i ⟨x|Π_i|x⟩ ≥ 1, both added lazily.  While the heaviest
+    maximal independent set weighs more than y it becomes a new row;
+    once none does, a round adds the cut at the bottom eigenvector of
+    Σ w_i Π_i.  Only these rounds count against max_rounds."""
     n = s.n
     arr = s.numeric_vectors()
     projs = [np.outer(arr[i], arr[i].conj()) for i in range(n)]
 
+    def set_row(mask: int) -> list[float]:  # Σ_{v in mask} w_v - y ≤ 0
+        return [float(mask >> v & 1) for v in range(n)] + [-1.0]
+
+    sets = maximal_set_per_vertex(g)
+    set_rows = [set_row(mask) for mask in sets]
     # seed cut: the maximally mixed state needs Σ w_i ≥ d
-    cuts = [np.full(n, 1.0 / s.d)]
+    cut_rows = [[-1.0 / s.d] * n + [0.0]]
+    c = [0.0] * n + [1.0]
     rounds = 0
     lam = -np.inf
     while rounds < max_rounds:
-        rounds += 1
-        n_mis = len(mis)
-        a_ub = np.zeros((n_mis + len(cuts), n + 1))
-        b_ub = np.zeros(n_mis + len(cuts))
-        for r, mask in enumerate(mis):
-            for v in iter_bits(mask):
-                a_ub[r, v] = 1.0
-            a_ub[r, n] = -1.0
-        for r, cut in enumerate(cuts):
-            a_ub[n_mis + r, :n] = -cut
-            b_ub[n_mis + r] = -1.0
-        c = np.zeros(n + 1)
-        c[n] = 1.0
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * (n + 1),
-                      method="highs")
+        res = linprog(c, A_ub=set_rows + cut_rows,
+                      b_ub=[0.0] * len(set_rows) + [-1.0] * len(cut_rows),
+                      bounds=[(0, None)] * (n + 1), method="highs")
         if not res.success:
             return None, rounds, lam, f"LP solver failed: {res.message}"
         w = res.x[:n]
         y = res.x[n]
+        # HiGHS meets w ≥ 0 and the set rows only within its feasibility
+        # tolerance (~1e-7), so the heaviest set may already be a row;
+        # re-adding it would never end the loop
+        mask, weight = heaviest_maximal_independent_set(g, w.clip(0).tolist())
+        if weight > y + 1e-9 and mask not in sets:
+            sets.append(mask)
+            set_rows.append(set_row(mask))
+            continue
+        rounds += 1
         eigvals, eigvecs = np.linalg.eigh(_numeric_weighted_sum(s, w))
         lam = float(eigvals[0])
         if lam >= 1 - 1e-9:
@@ -582,8 +581,8 @@ def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):
                 f"operator condition met but bound y={y:.6f} is not "
                 "below 1: no qualifying weights were found numerically")
         x = eigvecs[:, 0]
-        cuts.append(np.array([float(np.real(x.conj() @ projs[i] @ x))
-                              for i in range(n)]))
+        cut_rows.append([-float(np.real(x.conj() @ p @ x)) for p in projs]
+                        + [0.0])
     return None, rounds, lam, (
         f"no numeric convergence in {max_rounds} rounds "
         f"(min eigenvalue reached {lam:.6f})")

@@ -15,12 +15,11 @@ from fractions import Fraction
 
 from .exact import LinearProgram, lp_solve_exact
 from .graphs import (
-    CapacityError,
     Graph,
+    heaviest_maximal_independent_set,
     is_connected,
     iter_bits,
-    max_weight_independent_set,
-    maximal_independent_sets,
+    maximal_set_per_vertex,
 )
 
 
@@ -109,9 +108,10 @@ class FractionalResult:
     """Exact optimum of the fractional-clique LP with its certificate.
 
     weights is the optimal vertex weighting (sum = value); tight_sets
-    are the maximal independent sets met with equality; cover pairs
-    (set mask, dual weight) form the matching fractional cover of the
-    same total weight, which is the strong-duality certificate.
+    are the generated maximal independent sets met with equality, a
+    non-empty superset of the cover support; cover pairs (set mask,
+    dual weight) form the matching fractional cover of the same total
+    weight, which is the strong-duality certificate.
     """
 
     value: Fraction
@@ -120,42 +120,17 @@ class FractionalResult:
     cover: tuple[tuple[int, Fraction], ...]
 
 
-def _greedy_maximal_extension(g: Graph, s: int) -> int:
-    """Extend an independent set to a maximal one, lowest index first."""
-    blocked = s
-    for v in iter_bits(s):
-        blocked |= g.rows[v]
-    for v in range(g.n):
-        if not blocked >> v & 1:
-            s |= 1 << v
-            blocked |= g.rows[v] | (1 << v)
-    return s
-
-
 def fractional_chromatic_number(g: Graph) -> FractionalResult:
     """χ_f(g) as an exact rational, via lazy constraint generation.
 
-    Constraints are generated on demand: starting from one maximal
-    independent set through each vertex, the LP is re-solved and the
-    most violated maximal independent set (found exactly, either by
-    scanning the enumerated list or by branch-and-bound weight
-    maximization) is added until none is violated.  The final solution
-    is therefore optimal for the full LP over all maximal independent
-    sets, even when those were never enumerated.
+    Starting from one maximal independent set through each vertex, the
+    LP is re-solved and the heaviest maximal independent set under the
+    current weights (found exactly by branch and bound) is added until
+    none weighs more than 1.  The final solution is therefore optimal
+    for the full LP over all maximal independent sets, which are never
+    enumerated.
     """
-    try:
-        all_sets: list[int] | None = maximal_independent_sets(g)
-    except CapacityError:
-        all_sets = None
-
-    working: list[int] = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        s = _greedy_maximal_extension(g, 1 << v)
-        if s not in seen:
-            seen.add(s)
-            working.append(s)
-
+    working = maximal_set_per_vertex(g)
     objective = [Fraction(1)] * g.n
     while True:
         rows = [[Fraction(1) if s >> v & 1 else Fraction(0) for v in range(g.n)]
@@ -165,19 +140,13 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
         w = list(res.solution)
 
-        if all_sets is not None:
-            worst = max(all_sets, key=lambda s: _set_weight(w, s))
-        else:
-            mask, _ = max_weight_independent_set(g, w)
-            worst = _greedy_maximal_extension(g, mask)
-        if _set_weight(w, worst) <= 1:
+        worst, weight = heaviest_maximal_independent_set(g, w)
+        if weight <= 1:
             break
-        assert worst not in seen
-        seen.add(worst)
+        assert worst not in working
         working.append(worst)
 
-    pool = all_sets if all_sets is not None else working
-    tight = tuple(s for s in pool if _set_weight(w, s) == 1)
+    tight = tuple(s for s in working if _set_weight(w, s) == 1)
     cover = tuple((working[i], y) for i, y in enumerate(res.dual) if y != 0)
     return FractionalResult(res.value, tuple(w), tight, cover)
 

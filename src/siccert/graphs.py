@@ -303,6 +303,33 @@ def max_weight_independent_set(g: Graph, weights) -> tuple[int, object]:
     return best_mask, best_val
 
 
+def _greedy_maximal_extension(g: Graph, s: int) -> int:
+    """Extend an independent set to a maximal one, lowest index first."""
+    blocked = s
+    for v in iter_bits(s):
+        blocked |= g.rows[v]
+    for v in range(g.n):
+        if not blocked >> v & 1:
+            s |= 1 << v
+            blocked |= g.rows[v] | (1 << v)
+    return s
+
+
+def maximal_set_per_vertex(g: Graph) -> list[int]:
+    """The greedy maximal independent set through each vertex, without
+    repeats: rows that bound an LP over independent sets."""
+    return list(dict.fromkeys(_greedy_maximal_extension(g, 1 << v)
+                              for v in range(g.n)))
+
+
+def heaviest_maximal_independent_set(g: Graph, weights) -> tuple[int, object]:
+    """Separation oracle of the LPs over independent sets: (mask,
+    weight) of max_weight_independent_set extended to a maximal set,
+    which adds no weight when the weights are nonnegative."""
+    mask, val = max_weight_independent_set(g, weights)
+    return _greedy_maximal_extension(g, mask), val
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------

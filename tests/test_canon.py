@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from siccert.canon import (
     automorphism_orbits,
     canonical_graph,
@@ -132,6 +134,44 @@ class TestAutomorphisms:
             for v in range(n):
                 mine = next(o for o in orbits if o >> v & 1)
                 assert mine == sum(1 << u for u in full[v])
+
+
+def random_square_free(n: int, rng: random.Random) -> Graph:
+    """Random edges kept while no two vertices share two neighbors."""
+    nbrs = [set() for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    for i, j in pairs[:rng.randint(0, len(pairs))]:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+        if any(len(nbrs[u] & nbrs[v]) > 1
+               for u in range(n) for v in range(u + 1, n)):
+            nbrs[i].discard(j)
+            nbrs[j].discard(i)
+    return Graph(n, tuple(sum(1 << u for u in nb) for nb in nbrs))
+
+
+class TestAgainstNetworkx:
+    def test_key_equality_is_isomorphism(self):
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g: Graph):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            g = random_square_free(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            twin = relabel(g, perm)
+            other = random_square_free(n, rng)
+            for h in (twin, other):
+                same_key = canonical_key(g) == canonical_key(h)
+                assert same_key == nx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 class TestThirteenVertexClasses:

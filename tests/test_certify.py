@@ -338,13 +338,36 @@ class TestCertifyUndecided:
         assert cert.status == "UNDECIDED"
         assert "exact" in cert.diagnostics
 
+    def test_row_violated_within_solver_tolerance(self, monkeypatch):
+        # HiGHS meets its rows only to ~1e-7; an LP answer whose y sits
+        # just below the weight of a set that is already a row must end
+        # separation for the round instead of re-adding that row forever
+        import siccert.certify as certify_module
+        real = certify_module.linprog
+        calls = []
+
+        def loose(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) < 200, "separation loop did not end"
+            res = real(*args, **kwargs)
+            res.x[-1] -= 5e-8
+            return res
+
+        monkeypatch.setattr(certify_module, "linprog", loose)
+        arr = [tuple(float(x) for x in v) for v in YO_VECTORS]
+        cert = certify_sic(ProjectorSet.from_numeric(3, arr), tol=1e-9)
+        assert cert.status == "UNDECIDED"
+        assert cert.rounds == 1
+
     def test_past_the_mis_cap(self):
         # 17 orthogonal pairs in d = 2: 2^17 maximal independent sets,
-        # past the 100000-set enumeration cap
+        # past the 100000-set cap of maximal_independent_sets; the
+        # cutting planes never list them, so they run and find y = 1
         pairs = [v for k in range(1, 18) for v in ((1, k), (-k, 1))]
         cert = certify_sic(ProjectorSet.from_exact(2, pairs))
         assert cert.status == "UNDECIDED"
-        assert "100000" in cert.diagnostics
+        assert "not below 1" in cert.diagnostics
+        assert cert.rounds >= 1
 
     def test_structurally_blocked_exact_set(self):
         # basis plus a skew ray: the extra vertex is isolated in the

@@ -14,10 +14,12 @@ from siccert.coloring import (
     rh_sic_graph_test,
     sic_necessary_conditions,
 )
+from siccert.enumeration import THIRTEEN_CHI4_G6
 from siccert.graphs import (
     Graph,
     cone,
     is_independent,
+    maximal_independent_sets,
     parse_graph6,
 )
 
@@ -136,13 +138,14 @@ class TestFractional:
         assert fractional_chromatic_number(cone(YU_OH)).value == Fraction(46, 11)
 
     def test_weights_are_an_lp_certificate(self):
-        for g in (Graph.cycle(5), PETERSEN, YU_OH):
+        thirteen = [parse_graph6(s) for s in THIRTEEN_CHI4_G6]
+        for g in [Graph.cycle(5), PETERSEN, YU_OH, cone(YU_OH)] + thirteen:
             res = fractional_chromatic_number(g)
             assert sum(res.weights) == res.value
             assert all(w >= 0 for w in res.weights)
-            # feasibility: every independent set carries weight <= 1,
-            # and the recorded tight sets carry exactly 1
-            from siccert.graphs import maximal_independent_sets
+            # feasibility against the full list: every maximal
+            # independent set carries weight <= 1, and the recorded
+            # tight sets are maximal independent and carry exactly 1
             for s in maximal_independent_sets(g):
                 tot = sum(res.weights[v] for v in range(g.n) if s >> v & 1)
                 assert tot <= 1
@@ -150,6 +153,10 @@ class TestFractional:
             for s in res.tight_sets:
                 tot = sum(res.weights[v] for v in range(g.n) if s >> v & 1)
                 assert tot == 1
+                assert is_independent(g, s)
+                assert all(not is_independent(g, s | 1 << v)
+                           for v in range(g.n) if not s >> v & 1)
+            assert all(s in res.tight_sets for s, _ in res.cover)
 
     def test_dual_cover_certifies(self):
         for g in (Graph.cycle(5), Graph.cycle(7), YU_OH):

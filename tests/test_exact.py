@@ -113,6 +113,55 @@ class TestNullspace:
         assert len(basis) == 2
 
 
+def random_gaussian(rng: random.Random) -> GaussianRational:
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def to_sympy(sp, m):
+    return sp.Matrix([[sp.Rational(x.re.numerator, x.re.denominator)
+                       + sp.I * sp.Rational(x.im.numerator, x.im.denominator)
+                       for x in row] for row in m])
+
+
+class TestAgainstSympy:
+    def test_nullspace(self):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(31)
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            r = rng.randint(1, d + 1)
+            rows = [[random_gaussian(rng) for _ in range(d)] for _ in range(r)]
+            if r > 1 and rng.random() < 0.5:  # force a dependent row
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            m = to_sympy(sp, rows)
+            basis = nullspace(rows, d)
+            assert len(basis) == len(m.nullspace())
+            if basis:
+                b = to_sympy(sp, basis).T
+                assert (m * b).expand().is_zero_matrix
+                assert b.rank() == len(basis)
+
+    def test_psd_check(self):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(37)
+        for trial in range(60):
+            d = rng.randint(1, 4)
+            k = rng.randint(1, d)  # rank of the Gram part
+            a = [[random_gaussian(rng) for _ in range(k)] for _ in range(d)]
+            m = [[sum((a[i][t] * a[j][t].conjugate() for t in range(k)),
+                      GR_ZERO) for j in range(d)] for i in range(d)]
+            shift = Fraction(rng.randint(-1, 3), 4) if trial % 2 else 0
+            for i in range(d):
+                m[i][i] = m[i][i] - GaussianRational(shift, Fraction(0))
+            # sympy decides PSD reliably on rationals: a Hermitian A + iB
+            # is PSD iff the real symmetric [[A, -B], [B, A]] is
+            z = to_sympy(sp, m)
+            re, im = z.applyfunc(sp.re), z.applyfunc(sp.im)
+            real = sp.BlockMatrix([[re, -im], [im, re]]).as_explicit()
+            assert psd_check_exact(m).psd == real.is_positive_semidefinite
+
+
 def solve(objective, rows, rhs):
     return lp_solve_exact(LinearProgram.make(objective, rows, rhs))
 

@@ -12,12 +12,15 @@ from siccert.graphs import (
     complement,
     cone,
     encode_graph6,
+    heaviest_maximal_independent_set,
     induced_subgraph,
     is_connected,
     is_independent,
     is_square_free,
+    iter_bits,
     max_weight_independent_set,
     maximal_independent_sets,
+    maximal_set_per_vertex,
     parse_graph6,
 )
 
@@ -42,6 +45,18 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def to_networkx(nx, g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def is_maximal_independent(g: Graph, s: int) -> bool:
+    return is_independent(g, s) and not any(
+        is_independent(g, s | 1 << v) for v in range(g.n) if not s >> v & 1)
 
 
 class TestGraph:
@@ -97,6 +112,19 @@ class TestGraph6:
                 s = encode_graph6(g)
                 h = parse_graph6(s)
                 assert h.n == g.n and h.rows == g.rows
+
+    def test_codec_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            g = random_graph(n, rng.random(), rng)
+            h = to_networkx(nx, g)
+            theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert encode_graph6(g) == theirs
+            assert parse_graph6(theirs) == g
+            back = nx.from_graph6_bytes(encode_graph6(g).encode())
+            assert nx.utils.graphs_equal(back, h)
 
     def test_parse_errors_name_byte_offset(self):
         with pytest.raises(Graph6Error, match="byte offset 0"):
@@ -221,6 +249,43 @@ class TestIndependentSets:
                            start=Fraction(0))
                        for m in range(1 << n) if is_independent(g, m))
             assert val == best
+
+    def test_separation_oracle_against_networkx(self):
+        # the heaviest maximal clique of the complement, found by
+        # networkx, is the heaviest independent set
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        for trial in range(120):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.random(), rng)
+            if trial % 2:
+                w = [Fraction(rng.randint(0, 12), rng.randint(1, 9))
+                     for _ in range(n)]
+            else:
+                w = [rng.choice([0.0, rng.random()]) for _ in range(n)]
+            mask, val = heaviest_maximal_independent_set(g, w)
+            assert is_maximal_independent(g, mask)
+            best = max(sum(w[v] for v in c)
+                       for c in nx.find_cliques(nx.complement(to_networkx(nx, g))))
+            own = sum(w[v] for v in iter_bits(mask))
+            if trial % 2:
+                assert val == best == own
+            else:
+                assert val == pytest.approx(best)
+                assert own == pytest.approx(best)
+
+    def test_maximal_set_per_vertex(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.random(), rng)
+            sets = maximal_set_per_vertex(g)
+            assert len(set(sets)) == len(sets)
+            assert all(is_maximal_independent(g, s) for s in sets)
+            union = 0
+            for s in sets:
+                union |= s
+            assert union == g.vertex_mask()
 
 
 class TestDerivedGraphs:
