@@ -13,28 +13,50 @@ from dataclasses import dataclass
 from .graphs import Graph, iter_bits
 
 
-def equitable_partition(g: Graph, cells: list[int] | None = None) -> list[int]:
+def equitable_partition(g: Graph, cells: list[int] | None = None,
+                        splitters: list[int] | None = None) -> list[int]:
     """Refine an ordered partition until every cell sees uniform degree
     into every other cell.  Cells stay in order; a splitting cell is
     replaced in place by its parts, ordered by ascending degree count.
     Deterministic, so the result is isomorphism-invariant.
+
+    cells must partition the vertex set (default: one cell).  Every
+    input cell starts on the work stack of splitters, popped last
+    first.  splitters, when given, is that initial stack instead.  Its
+    precondition: the input is an equitable partition except for one
+    cell split into exactly the parts in splitters (the search passes
+    [{v}, cell - v]).  Every other input cell is then a cell of that
+    equitable partition and would split nothing when popped, so the
+    result is the same list as without splitters.  Refinement stops
+    once every cell is a singleton.
     """
     rows = g.rows
+    n = g.n
     if cells is None:
         cells = [g.vertex_mask()]
     cells = list(cells)
-    work = list(cells)
-    while work:
+    work = list(cells if splitters is None else splitters)
+    while work and len(cells) < n:
         w = work.pop()
+        # a cell missing N(w) has all counts 0 and cannot split
+        reach = 0
+        m = w
+        while m:
+            low = m & -m
+            reach |= rows[low.bit_length() - 1]
+            m ^= low
         out = []
         for c in cells:
-            if c.bit_count() <= 1:
+            if not c & reach or not c & (c - 1):
                 out.append(c)
                 continue
             groups: dict[int, int] = {}
-            for v in iter_bits(c):
-                k = (rows[v] & w).bit_count()
-                groups[k] = groups.get(k, 0) | (1 << v)
+            m = c
+            while m:
+                low = m & -m
+                k = (rows[low.bit_length() - 1] & w).bit_count()
+                groups[k] = groups.get(k, 0) | low
+                m ^= low
             if len(groups) == 1:
                 out.append(c)
             else:
@@ -157,8 +179,9 @@ def canonicalize(g: Graph) -> CanonResult:
             if tried and in_tried_orbit(v, tried, path):
                 continue
             tried |= 1 << v
-            split = cells[:tgt] + [1 << v, cell ^ (1 << v)] + cells[tgt + 1:]
-            rec(equitable_partition(g, split), path + [v])
+            parts = [1 << v, cell ^ (1 << v)]
+            split = cells[:tgt] + parts + cells[tgt + 1:]
+            rec(equitable_partition(g, split, parts), path + [v])
 
     rec(equitable_partition(g, None), [])
     assert best_key is not None and best_order is not None

@@ -28,7 +28,7 @@ from .certify import (
     write_vector_file,
 )
 from .coloring import chromatic_number, fractional_chromatic_number
-from .enumeration import enumerate_square_free_connected
+from .enumeration import MAX_ENUM_N, enumerate_square_free_connected
 from .exact import format_gaussian, format_rational
 from .graphs import (
     Graph6Error,
@@ -57,8 +57,9 @@ def _open_output(path: str | None):
 
 
 def cmd_enumerate(args) -> int:
-    if not 1 <= args.max_n <= 13:
-        print("error: --max-n must be between 1 and 13", file=sys.stderr)
+    if not 1 <= args.max_n <= MAX_ENUM_N:
+        print(f"error: --max-n must be between 1 and {MAX_ENUM_N}",
+              file=sys.stderr)
         return EXIT_CONFIG
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
@@ -206,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("enumerate",
                         help="census of square-free connected graphs")
     pe.add_argument("--max-n", type=int, required=True,
-                    help="largest vertex count (1..13)")
+                    help=f"largest vertex count (1..{MAX_ENUM_N})")
     pe.add_argument("--chi-gt", type=int, default=None, metavar="D",
                     help="only emit graphs with chromatic number > D")
     pe.add_argument("--workers", type=int, default=1)

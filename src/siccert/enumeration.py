@@ -9,6 +9,12 @@ isomorphism class is produced exactly once from its unique canonical
 parent.  Disconnected intermediates are kept (the canonical parent of
 a connected graph need not be connected); connectivity is only an
 emission filter, plus a pruning rule at the final level.
+
+The canonically-last vertex has maximum degree, so the new vertex
+must too.  Attachment sets smaller than the parent's maximum degree
+are never generated, and a set of exactly that size is rejected when
+it holds a vertex of maximum degree, before any child graph is built
+or refined.
 """
 
 from __future__ import annotations
@@ -70,12 +76,15 @@ def _apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _compatible_sets(g: Graph) -> list[int]:
-    """All vertex sets a new vertex may attach to without creating a
-    pair of vertices with two common neighbors.  Includes the empty
+def _compatible_sets(g: Graph, min_size: int = 0) -> list[int]:
+    """All vertex sets of at least min_size vertices that a new vertex
+    may attach to without creating a pair of vertices with two common
+    neighbors, depth-first.  With min_size 0 this includes the empty
     set.  Two attachment points are compatible iff they have no
     common neighbor; pairwise compatibility is exactly child
-    square-freeness (given g itself square-free)."""
+    square-freeness (given g itself square-free).  A branch whose set
+    plus every vertex still allowed is below min_size is pruned, so
+    the order is that of the unbounded list with small sets left out."""
     n = g.n
     rows = g.rows
     compat = []
@@ -87,16 +96,19 @@ def _compatible_sets(g: Graph) -> list[int]:
         compat.append(m)
     out: list[int] = []
 
-    def rec(cur: int, allowed: int):
-        out.append(cur)
+    def rec(cur: int, size: int, allowed: int):
+        if size + allowed.bit_count() < min_size:
+            return
+        if size >= min_size:
+            out.append(cur)
         rest = allowed
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            rec(cur | low, rest & compat[v])
+            rec(cur | low, size + 1, rest & compat[v])
 
-    rec(0, g.vertex_mask())
+    rec(0, 0, g.vertex_mask())
     return out
 
 
@@ -110,18 +122,34 @@ def _extend(parent: Graph, s: int) -> Graph:
 def _children(parent: Graph, canon: CanonResult, *,
               require_connected: bool) -> list[tuple[Graph, CanonResult]]:
     """Accepted one-vertex extensions of parent, one per class."""
-    candidates = _compatible_sets(parent)
+    # degree reject: the canonically-last vertex always lies in the
+    # last cell of the root equitable partition, which holds only
+    # vertices of maximum degree, so the new vertex x can be accepted
+    # only if |s| >= deg(v) + [v in s] for every parent vertex v: that
+    # is |s| > top, or |s| == top with no degree-top vertex in s.
+    # _compatible_sets never generates the sets below top.
+    degs = [r.bit_count() for r in parent.rows]
+    top = max(degs)
+    top_mask = 0
+    for v, d in enumerate(degs):
+        if d == top:
+            top_mask |= 1 << v
+    candidates = _compatible_sets(parent, top)
     if require_connected:
         comps = connected_components(parent)
         candidates = [s for s in candidates if all(s & c for c in comps)]
 
     # candidate sets in one Aut(parent)-orbit give isomorphic children
-    # with identical acceptance outcomes; process one per orbit
+    # with identical acceptance outcomes; process one per orbit.  The
+    # degree reject is orbit-invariant too, so a rejected set need not
+    # enter seen: its orbit mates are rejected in turn.
     x = parent.n
     xbit = 1 << x
     seen: set[int] = set()
     out = []
     for s in candidates:
+        if s & top_mask and s.bit_count() == top:
+            continue
         if s in seen:
             continue
         orbit = {s}
@@ -136,9 +164,8 @@ def _children(parent: Graph, canon: CanonResult, *,
         seen.update(orbit)
 
         child = _extend(parent, s)
-        # cheap reject: the canonically-last vertex always lies in the
-        # last cell of the root equitable partition, and orbits never
-        # cross cells, so x outside that cell can never be accepted
+        # cheap reject: orbits never cross cells of the root equitable
+        # partition, so x outside its last cell can never be accepted
         cells = equitable_partition(child)
         if not cells[-1] & xbit:
             continue

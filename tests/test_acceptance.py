@@ -1,8 +1,8 @@
 """Acceptance gate: seven end-to-end criteria with one printed
 pass/fail line each.
 
-Criterion 3's full thirteen-vertex census takes roughly twenty
-minutes of CPU; by default the known classes are verified directly
+Criterion 3's full thirteen-vertex census takes about eight minutes
+on one core; by default the known classes are verified directly
 and the full run is enabled with SICCERT_FULL_CENSUS=1.
 """
 

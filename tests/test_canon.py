@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from siccert.canon import (
     automorphism_orbits,
@@ -179,3 +181,90 @@ class TestThirteenVertexClasses:
         from siccert.enumeration import THIRTEEN_CHI4_G6
         keys = {canonical_key(parse_graph6(s)) for s in THIRTEEN_CHI4_G6}
         assert len(keys) == 8
+
+
+def reference_refinement(g: Graph, cells: list[int]) -> list[int]:
+    """Textbook refinement: every input cell is a splitter, and each
+    splitter is tried against every cell.  Same split order as
+    equitable_partition, with none of its shortcuts."""
+    cells = list(cells)
+    work = list(cells)
+    while work:
+        w = work.pop()
+        out = []
+        for c in cells:
+            groups: dict[int, int] = {}
+            for v in range(g.n):
+                if c >> v & 1:
+                    k = (g.rows[v] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | (1 << v)
+            parts = [groups[k] for k in sorted(groups)]
+            out.extend(parts)
+            if len(parts) > 1:
+                work.extend(parts)
+        cells = out
+    return cells
+
+
+@st.composite
+def graphs_with_partitions(draw):
+    """A seeded random graph on n <= 14 vertices, or two disjoint
+    copies of one (so that some cells stay wide), and a random ordered
+    partition of its vertices."""
+    n = draw(st.integers(1, 14))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = rng.choice([0.15, 0.3, 0.5, 0.8])
+    if n >= 2 and draw(st.booleans()):
+        half = random_graph(n // 2, p, rng).rows
+        n = 2 * (n // 2)
+        g = Graph(n, half + tuple(r << n // 2 for r in half))
+    else:
+        g = random_graph(n, p, rng)
+    k = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rank = draw(st.permutations(range(k)))
+    cells = [sum(1 << v for v in range(n) if labels[v] == k)
+             for k in rank]
+    return g, [c for c in cells if c]
+
+
+class TestRefinementProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_partitions())
+    def test_ordered_equitable_refinement(self, case):
+        g, initial = case
+        cells = equitable_partition(g, initial)
+        # an ordered refinement: each input cell is replaced in place
+        # by consecutive parts covering exactly it
+        i = 0
+        for c in initial:
+            acc = 0
+            while acc != c:
+                assert cells[i] & ~c == 0 and cells[i] & acc == 0
+                acc |= cells[i]
+                i += 1
+        assert i == len(cells)
+        # equitable: uniform neighbour counts from each cell into each
+        for a in cells:
+            for b in cells:
+                counts = {(g.rows[v] & b).bit_count()
+                          for v in range(g.n) if a >> v & 1}
+                assert len(counts) == 1
+        assert equitable_partition(g, cells) == cells
+        assert cells == reference_refinement(g, initial)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_partitions(), st.integers(0, 2 ** 32))
+    def test_splitters_of_one_split_cell(self, case, pick):
+        g, initial = case
+        cells = equitable_partition(g, initial)
+        wide = [i for i, c in enumerate(cells) if c.bit_count() > 1]
+        assume(wide)
+        i = wide[pick % len(wide)]
+        cell = cells[i]
+        members = [v for v in range(g.n) if cell >> v & 1]
+        v = members[pick // len(wide) % len(members)]
+        parts = [1 << v, cell ^ (1 << v)]
+        split = cells[:i] + parts + cells[i + 1:]
+        assert equitable_partition(g, split, parts) == \
+            equitable_partition(g, split)

@@ -1,12 +1,18 @@
 """End-to-end command-line coverage using the bundled fixtures."""
 
+import hashlib
+
 import pytest
 
 from siccert import fixture_path
 from siccert.cli import main
+from siccert.enumeration import MAX_ENUM_N
 from siccert.graphs import Graph, encode_graph6
 
 YU_OH_G6 = "L?AB?vOLDPHa`o"
+# sha256 of the stdout of `siccert enumerate --max-n 9`
+CENSUS_9_SHA256 = \
+    "18118d6a910312fce2d9f542103bdeed9023b50341ef2e719c51229d16e2bb66"
 
 
 def run(capsys, *argv):
@@ -49,6 +55,20 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--max-n", "20")
         assert code == 2
         assert "max-n" in err
+
+    def test_limit_is_the_library_limit(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--max-n",
+                           str(MAX_ENUM_N + 1))
+        assert code == 2
+        assert f"between 1 and {MAX_ENUM_N}" in err
+
+    def test_golden_census_output(self, capsys):
+        # pins the canonical form and the emission order of every class
+        # with n <= 9, not just the counts
+        code, out, _ = run(capsys, "enumerate", "--max-n", "9")
+        assert code == 0
+        assert len(out.splitlines()) == 1027
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_9_SHA256
 
 
 class TestGraphQueries:

@@ -1,18 +1,21 @@
 """Census of square-free connected graphs up to isomorphism."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from siccert.canon import canonical_key
+from siccert.canon import canonical_key, canonicalize, equitable_partition
 from siccert.coloring import chromatic_number, fractional_chromatic_number
 from siccert.enumeration import (
     THIRTEEN_CHI4_G6,
     YU_OH_G6,
+    _compatible_sets,
     brute_force_enumerate,
     enumerate_square_free_connected,
 )
 from siccert.graphs import (
+    Graph,
     encode_graph6,
     is_connected,
     is_square_free,
@@ -146,3 +149,40 @@ class TestKnownThirteen:
         g = parse_graph6(YU_OH_G6)
         assert g.edge_count() == 24
         assert encode_graph6(g) == YU_OH_G6
+
+
+def random_square_free(n: int, rng: random.Random) -> Graph:
+    """Random edges, each kept only if the graph stays square-free."""
+    rows = [0] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    for i, j in pairs[:rng.randint(0, len(pairs))]:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        if not is_square_free(Graph(n, tuple(rows))):
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+    return Graph(n, tuple(rows))
+
+
+class TestDegreeReject:
+    """The premises of the degree reject in _children."""
+
+    def test_size_bound_keeps_order(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            g = random_square_free(rng.randint(1, 11), rng)
+            full = _compatible_sets(g)
+            for k in range(0, g.n + 2):
+                assert _compatible_sets(g, k) == \
+                    [s for s in full if s.bit_count() >= k]
+
+    def test_last_cell_has_maximum_degree(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            g = random_square_free(rng.randint(1, 14), rng)
+            top = max(g.degree(v) for v in range(g.n))
+            last = equitable_partition(g)[-1]
+            assert all(g.degree(v) == top
+                       for v in range(g.n) if last >> v & 1)
+            assert last >> canonicalize(g).order[-1] & 1
