@@ -12,6 +12,7 @@ neither side can be certified the answer is UNDECIDED.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,6 +149,8 @@ def parse_vector_file(text: str, mode: str = "auto") -> ProjectorSet:
     on whitespace and a lone "i" token joins the entry before it: "0 i"
     is one entry, and "1/2 + 1/2 i" is three entries.  mode "auto" uses
     exact arithmetic iff every entry parses as a Gaussian rational.
+    An entry with a zero denominator or a non-finite value ("1/0",
+    "nan", "1e400") is a VectorFileError naming its line, in any mode.
     """
     if mode not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,12 +179,16 @@ def parse_vector_file(text: str, mode: str = "auto") -> ProjectorSet:
 
     def try_exact():
         out = []
-        for _, entries in rows:
+        for ln, entries in rows:
             vec = []
             for e in entries:
                 if "." in e or "e" in e or "E" in e:
-                    raise ValueError(f"decimal entry {e!r} is not exact")
-                vec.append(parse_gaussian(e))
+                    raise ValueError(f"line {ln}: decimal {e!r} is not exact")
+                try:
+                    vec.append(parse_gaussian(e))
+                except (ValueError, ZeroDivisionError):  # "1/0" is the latter
+                    raise ValueError(
+                        f"line {ln}: cannot parse entry {e!r}") from None
             out.append(vec)
         return out
 
@@ -191,10 +198,14 @@ def parse_vector_file(text: str, mode: str = "auto") -> ProjectorSet:
             vec = []
             for e in entries:
                 try:
-                    vec.append(complex(e.replace(" ", "").replace("i", "j")))
+                    z = complex(e.replace(" ", "").replace("i", "j"))
                 except ValueError:
                     raise VectorFileError(
                         f"line {ln}: cannot parse entry {e!r}") from None
+                if not cmath.isfinite(z):
+                    raise VectorFileError(
+                        f"line {ln}: entry {e!r} is not finite")
+                vec.append(z)
             out.append(vec)
         return out
 

@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -50,10 +51,15 @@ _INPUT_ERRORS = (Graph6Error, VectorFileError, DuplicateProjectorError,
                  AmbiguousOrthogonalityError, OSError)
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing and closed afterwards; for
+    None or "-", stdout, which stays open."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def cmd_enumerate(args) -> int:
@@ -61,11 +67,7 @@ def cmd_enumerate(args) -> int:
         print(f"error: --max-n must be between 1 and {MAX_ENUM_N}",
               file=sys.stderr)
         return EXIT_CONFIG
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         if args.chi_gt is None:
             sink = lambda g: print(encode_graph6(g), file=out)
             report = enumerate_square_free_connected(
@@ -75,9 +77,6 @@ def cmd_enumerate(args) -> int:
                 args.max_n, chi_gt=args.chi_gt, workers=args.workers)
             for line in report.filtered:
                 print(line, file=out)
-    finally:
-        if close:
-            out.close()
     for n in sorted(report.counts):
         print(f"{n} {report.counts[n]}")
     print(f"total {report.total}")
@@ -158,25 +157,14 @@ def cmd_inequality(args) -> int:
               file=sys.stderr)
         return _certificate_exit(cert)
     ineq = emit_inequality(s, cert)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         print(ineq.render(), file=out)
         print(f"bound = {format_rational(ineq.bound)}", file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
     g = parse_graph6(args.graph6)
-    if args.dim < 2:
-        print("error: --dim must be at least 2", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.restarts < 1 or args.tol <= 0 or args.delta <= 0:
-        print("error: --restarts must be >= 1 and tolerances positive",
-              file=sys.stderr)
-        return EXIT_CONFIG
     res = find_realization(g, args.dim, field=args.field,
                            restarts=args.restarts, tol=args.tol,
                            delta=args.delta, seed=args.seed,
@@ -186,12 +174,8 @@ def cmd_realize(args) -> int:
     if res.status == "found":
         s = ProjectorSet.from_numeric(args.dim,
                                       [tuple(v) for v in res.vectors])
-        out, close = _open_output(args.output)
-        try:
+        with _output(args.output) as out:
             out.write(write_vector_file(s))
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     if res.status == "degenerate":
         return EXIT_NEGATIVE

@@ -19,7 +19,6 @@ or refined.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -32,8 +31,8 @@ from .graphs import (
     is_connected,
     is_square_free,
     iter_bits,
-    parse_graph6,
 )
+from .runner import ordered_results
 
 MAX_ENUM_N = 13
 SEED_LEVEL = 8
@@ -190,25 +189,18 @@ def _expand(g: Graph, cres: CanonResult, report: EnumerationReport,
     return grow
 
 
-def _grow_subtree(seed: Graph, seed_canon: CanonResult,
-                  report: EnumerationReport, sink) -> None:
-    """Depth-first expansion of one seed to report.n_max, emitting
-    connected graphs at every level above the seed's."""
+def _seed_worker(job) -> tuple[EnumerationReport, list[Graph] | None]:
+    """Grow one seed depth-first to n_max in its own report, emitting
+    connected graphs at every level above the seed's; with keep_graphs
+    the emitted graphs come back too, in emission order."""
+    seed, seed_canon, n_max, chi_gt, keep_graphs = job
+    report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
+    kept: list[Graph] | None = [] if keep_graphs else None
+    sink = None if kept is None else kept.append
     stack = [(seed, seed_canon)]
     while stack:
         g, cres = stack.pop()
         stack.extend(_expand(g, cres, report, sink))
-
-
-def _seed_worker(args) -> tuple[EnumerationReport, list[str] | None]:
-    """Pool task: grow one seed in its own report; with keep_graphs the
-    emitted graphs come back as graph6, in emission order."""
-    rows, n_max, chi_gt, keep_graphs = args
-    seed = Graph(len(rows), rows)
-    report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
-    kept: list[str] | None = [] if keep_graphs else None
-    sink = None if kept is None else (lambda g: kept.append(encode_graph6(g)))
-    _grow_subtree(seed, canonicalize(seed), report, sink)
     return report, kept
 
 
@@ -224,12 +216,14 @@ def enumerate_square_free_connected(
 
     sink, when given, is called with each emitted Graph: levels up to
     SEED_LEVEL breadth-first, then each seed's subtree depth-first.
-    With workers > 1 the seed subtrees run in separate processes and
-    their sink calls are replayed serially in the parent afterwards,
-    in the same order.
+    Seed subtrees are jobs for ordered_results, so results stream
+    back in seed order for any worker count, and sink gets a seed's
+    graphs, in this process, once that seed and all before it are done.
     """
     if not 1 <= n_max <= MAX_ENUM_N:
         raise ValueError(f"n_max must be within 1..{MAX_ENUM_N}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     t0 = time.perf_counter()
     report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
 
@@ -242,20 +236,12 @@ def enumerate_square_free_connected(
         level = [nxt for g, cres in level
                  for nxt in _expand(g, cres, report, sink)]
 
-    if n_max > SEED_LEVEL:
-        if workers > 1:
-            jobs = [(g.rows, n_max, chi_gt, sink is not None) for g, _ in level]
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_seed_worker, jobs)
-            for sub, kept in results:
-                report.merge(sub)
-                # serializing adapter: deliveries deferred from the
-                # workers are replayed in the parent process
-                for s in kept or ():
-                    sink(parse_graph6(s))
-        else:
-            for g, cres in level:
-                _grow_subtree(g, cres, report, sink)
+    seeds = level if n_max > SEED_LEVEL else []  # n_max = 1 keeps the root
+    jobs = [(g, cres, n_max, chi_gt, sink is not None) for g, cres in seeds]
+    for sub, graphs in ordered_results(_seed_worker, jobs, workers):
+        report.merge(sub)
+        for g in graphs or ():
+            sink(g)
 
     report.filtered.sort(key=lambda s: (len(s), s))
     report.wall_time = time.perf_counter() - t0

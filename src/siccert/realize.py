@@ -11,7 +11,7 @@ representation exists.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +20,7 @@ from scipy.optimize import minimize
 
 from .exact import GaussianRational, inner
 from .graphs import Graph
+from .runner import ordered_results
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,9 @@ def _normalized_stats(v: np.ndarray, g: Graph):
     return u, residual, mpd
 
 
-def _one_restart(args):
-    rows, n, d, is_complex, seed, k = args
-    g = Graph(n, rows)
+def _one_restart(job):
+    g, d, is_complex, seed, k = job
+    n = g.n
     edges = list(g.edges())
     rng = np.random.default_rng(seed + k)
     width = 2 * d if is_complex else d
@@ -122,26 +123,25 @@ def find_realization(g: Graph, d: int, field: str = "real",
                      workers: int = 1) -> RealizationResult:
     """Search for a [d,1] orthogonal representation of g.
 
-    Restart k draws its start from seed + k, so results are
-    reproducible and independent of the worker count.  The best run
-    wins: found runs beat degenerate ones, lower residual breaks ties,
-    then lower restart index.
+    Restart k draws its start from seed + k, and the restarts are jobs
+    for ordered_results, so results come back in restart order and are
+    independent of the worker count.  The best run wins: found runs
+    beat degenerate ones, lower residual breaks ties, then lower
+    restart index.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if tol <= 0 or delta <= 0:
-        raise ValueError("tol and delta must be positive")
+    if not (0 < tol < math.inf and 0 < delta < math.inf):
+        raise ValueError("tol and delta must be positive and finite")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     is_complex = field == "complex"
-    jobs = [(g.rows, g.n, d, is_complex, seed, k) for k in range(restarts)]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            runs = pool.map(_one_restart, jobs)
-    else:
-        runs = [_one_restart(j) for j in jobs]
+    jobs = [(g, d, is_complex, seed, k) for k in range(restarts)]
+    runs = list(ordered_results(_one_restart, jobs, workers))
 
     def rank(run):
         k, u, residual, mpd = run

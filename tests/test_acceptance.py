@@ -12,10 +12,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siccert
 from conftest import record_criterion
 from siccert import fixture_path
 from siccert.canon import canonical_key
@@ -60,11 +62,15 @@ TWELVE_G6 = "K_GTCceEQHHB"
 def census12():
     """One CLI census run over n <= 12 with the chi > 3 filter; both
     census criteria read from it."""
+    # the child imports the same siccert as this process, installed or not
+    src = str(Path(siccert.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     t0 = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "siccert.cli", "enumerate",
          "--max-n", "12", "--chi-gt", "3"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": path})
     wall = time.time() - t0
     assert proc.returncode == 0, proc.stderr
     counts = {}

@@ -148,6 +148,18 @@ class TestVectorFiles:
             parse_vector_file("# header\n2\n1 0\nbroken! entry\n",
                               mode="numeric")
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "numeric"])
+    @pytest.mark.parametrize("entry", ["1/0", "1/2+1/0 i"])
+    def test_zero_denominator_names_the_line(self, mode, entry):
+        with pytest.raises(VectorFileError, match="line 3"):
+            parse_vector_file(f"2\n1 0\n{entry}, 1\n", mode=mode)
+
+    @pytest.mark.parametrize("mode", ["auto", "numeric"])
+    @pytest.mark.parametrize("entry", ["nan", "INF", "1e400", "1+nan i"])
+    def test_non_finite_entry_names_the_line(self, mode, entry):
+        with pytest.raises(VectorFileError, match="line 3"):
+            parse_vector_file(f"2\n1 0\n{entry}, 1\n", mode=mode)
+
     def test_comma_separated_and_spaced_imaginary(self):
         s = parse_vector_file("2\n1/2+1/3 i, 0\n0, 1\n")
         assert s.exact

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage using the bundled fixtures."""
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -212,6 +213,42 @@ class TestRealize:
     def test_bad_dim_exit_2(self, capsys):
         code, _, err = run(capsys, "realize", YU_OH_G6, "--dim", "1")
         assert code == 2
+
+
+class TestOddInput:
+    """Odd input exits 2 with a message, never a traceback or a
+    warning."""
+
+    def quiet_run(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert not caught
+        assert code == 2
+        assert "Traceback" not in err and "Warning" not in err
+        return err
+
+    @pytest.mark.parametrize("mode", [[], ["--exact"], ["--numeric"]])
+    @pytest.mark.parametrize("entry", ["1/0", "nan", "INF", "1e400"])
+    def test_bad_vector_entry(self, capsys, tmp_path, entry, mode):
+        f = tmp_path / "odd.vec"
+        f.write_text(f"2\n{entry} 0\n0 1\n")
+        err = self.quiet_run(capsys, "certify", str(f), *mode)
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"],
+                                        ["--delta", "nan"], ["--tol", "0"],
+                                        ["--restarts", "0"], ["--dim", "1"],
+                                        ["--workers", "0"]])
+    def test_bad_realize_option(self, capsys, option):
+        argv = ["realize", "A_", "--dim", "2", *option]
+        err = self.quiet_run(capsys, *argv)
+        assert err.startswith("error: ")
+
+    def test_bad_enumerate_workers(self, capsys):
+        err = self.quiet_run(capsys, "enumerate", "--max-n", "3",
+                             "--workers", "0")
+        assert "workers must be at least 1" in err
 
 
 class TestArgumentErrors:

@@ -84,9 +84,23 @@ class TestSmallCensus:
             enumerate_square_free_connected(0)
         with pytest.raises(ValueError):
             enumerate_square_free_connected(14)
+        with pytest.raises(ValueError, match="workers"):
+            enumerate_square_free_connected(3, workers=0)
 
 
 class TestChiFilter:
+    def test_workers_match_sequential(self):
+        # n = 9 lies past SEED_LEVEL, so both runs merge seed reports
+        seq = enumerate_square_free_connected(9, chi_gt=2)
+        par = enumerate_square_free_connected(9, chi_gt=2, workers=2)
+        assert par.counts == seq.counts
+        assert par.filtered == seq.filtered
+        all_graphs = []
+        enumerate_square_free_connected(9, sink=all_graphs.append)
+        expected = {encode_graph6(g) for g in all_graphs
+                    if chromatic_number(g).value > 2}
+        assert set(seq.filtered) == expected
+
     def test_no_outlier_below_12(self):
         report = enumerate_square_free_connected(11, chi_gt=3)
         assert report.filtered == []

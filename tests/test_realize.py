@@ -78,6 +78,13 @@ class TestSearch:
             find_realization(YU_OH, 3, tol=0)
         with pytest.raises(ValueError):
             find_realization(YU_OH, 3, field="quaternion")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                find_realization(YU_OH, 3, tol=bad)
+            with pytest.raises(ValueError, match="finite"):
+                find_realization(YU_OH, 3, delta=bad)
+        with pytest.raises(ValueError, match="workers"):
+            find_realization(YU_OH, 3, workers=0)
 
 
 class TestObjective:
