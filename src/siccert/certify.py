@@ -502,6 +502,8 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
     factorization.  Numeric sets get the floating loop only, so their
     best possible answer is UNDECIDED with diagnostics.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     g = orthogonality_graph(s, tol=tol)
 
     if s.exact:

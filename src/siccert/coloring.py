@@ -131,12 +131,11 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
     enumerated.
     """
     working = maximal_set_per_vertex(g)
-    objective = [Fraction(1)] * g.n
+    rows = [_indicator(s, g.n) for s in working]
+    one = Fraction(1)
     while True:
-        rows = [[Fraction(1) if s >> v & 1 else Fraction(0) for v in range(g.n)]
-                for s in working]
-        rhs = [Fraction(1)] * len(working)
-        res = lp_solve_exact(LinearProgram.make(objective, rows, rhs))
+        lp = LinearProgram((one,) * g.n, tuple(rows), (one,) * len(rows))
+        res = lp_solve_exact(lp)
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
         w = list(res.solution)
 
@@ -145,10 +144,16 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
             break
         assert worst not in working
         working.append(worst)
+        rows.append(_indicator(worst, g.n))
 
     tight = tuple(s for s in working if _set_weight(w, s) == 1)
     cover = tuple((working[i], y) for i, y in enumerate(res.dual) if y != 0)
     return FractionalResult(res.value, tuple(w), tight, cover)
+
+
+def _indicator(s: int, n: int) -> tuple[Fraction, ...]:
+    """The 0/1 row of the vertex set s."""
+    return tuple(Fraction(s >> v & 1) for v in range(n))
 
 
 def _set_weight(w: list[Fraction], s: int) -> Fraction:

@@ -2,10 +2,11 @@
 solver, and a positive-semidefiniteness test for Hermitian matrices.
 
 Everything here is tolerance-free.  Rationals are stdlib Fractions;
-complex entries are pairs of Fractions.  The LP solver re-verifies
-its own optimality certificate by substitution before returning, and
-the PSD test produces a factorization or a counterexample vector that
-callers can replay.
+complex entries are pairs of Fractions.  The LP solver pivots a
+condensed tableau (a row per basic and a column per nonbasic
+variable) by Bland's rule and re-verifies its own optimality
+certificate by substitution before returning; the PSD test produces
+a factorization or a counterexample vector that callers can replay.
 """
 
 from __future__ import annotations
@@ -250,104 +251,87 @@ class LpCertificateError(AssertionError):
 
 
 def lp_solve_exact(lp: LinearProgram) -> LpResult:
-    """Two-phase simplex with Bland's rule, fully in Fractions.
+    """Two-phase simplex with Bland's rule on a condensed tableau, fully
+    in Fractions.
 
-    On "optimal" the result carries the primal solution and the dual
-    vector of the ≤ system; both are re-verified by substitution
-    (feasibility plus equal objectives) before returning.
+    One row per basic variable, one column per nonbasic variable plus
+    the right-hand side; the objective rows pivot like the others.
+    Variables are numbered x_j = j, slack of row i = nv + i, artificial
+    of row i = nv + m + i, and Bland's rule compares these numbers, so
+    the pivots are those of the full tableau.  On "optimal" the result
+    carries the primal solution and the dual vector of the ≤ system;
+    both are re-verified by substitution (feasibility plus equal
+    objectives) before returning.
     """
     nv = len(lp.objective)
     m = len(lp.rows)
+    art = nv + m  # the first artificial's number
     F0, F1 = Fraction(0), Fraction(1)
 
-    # equality tableau: columns = x | slacks | artificials | rhs.
-    # rows with negative rhs are negated (slack coefficient -1) and
-    # get an artificial variable so the initial basis is feasible.
-    neg = [lp.rhs[i] < 0 for i in range(m)]
-    art_rows = [i for i in range(m) if neg[i]]
-    na = len(art_rows)
-    ncols = nv + m + na
-    art_base = nv + m
-    tab: list[list[Fraction]] = []
+    # a row with negative rhs is negated: its slack (coefficient -1)
+    # starts nonbasic and an artificial starts basic in its place
+    neg = [i for i in range(m) if lp.rhs[i] < 0]
+    cols = list(range(nv)) + [nv + i for i in neg]
     basis: list[int] = []
-    for i in range(m):
-        sgn = -1 if neg[i] else 1
-        row = [sgn * a for a in lp.rows[i]] + [F0] * (m + na) + [sgn * lp.rhs[i]]
-        row[nv + i] = Fraction(sgn)
-        if neg[i]:
-            k = art_rows.index(i)
-            row[art_base + k] = F1
-            basis.append(art_base + k)
-        else:
-            basis.append(nv + i)
-        tab.append(row)
+    tab: list[list[Fraction]] = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        sgn = -1 if b < 0 else 1
+        slacks = [-F1 if k == i else F0 for k in neg]
+        tab.append([sgn * a for a in row] + slacks + [sgn * b])
+        basis.append(art + i if b < 0 else nv + i)
+    # objective rows hold reduced costs (z_j - c_j); the phase-2 row
+    # maximizes the objective, the phase-1 row -sum(artificials)
+    tab.append([-c for c in lp.objective] + [F0] * (len(neg) + 1))
+    if neg:
+        tab.append([-sum(col) for col in zip(*(tab[i] for i in neg))])
 
-    def pivot(r: int, c: int, obj: list[Fraction]):
+    def pivot(r: int, c: int):
+        # the leaving variable's unit column takes the entering one's place
         inv = 1 / tab[r][c]
-        tab[r] = [x * inv for x in tab[r]]
-        prow = tab[r]
-        for i in range(m):
-            if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [x - f * p for x, p in zip(tab[i], prow)]
-        if obj[c]:
-            f = obj[c]
-            for j in range(len(obj)):
-                obj[j] -= f * prow[j]
-        basis[r] = c
+        tab[r][c] = F1
+        tab[r] = prow = [v * inv for v in tab[r]]
+        for i, row in enumerate(tab):
+            f = row[c]
+            if i != r and f:
+                row[c] = F0
+                tab[i] = [v - f * p for v, p in zip(row, prow)]
+        basis[r], cols[c] = cols[c], basis[r]
 
-    def run(obj: list[Fraction], allowed: int) -> str:
-        # obj holds reduced costs (z_j - c_j); optimal when all >= 0.
-        # Bland: entering = lowest column with negative reduced cost;
-        # leaving = minimum ratio, ties by lowest basic-variable index.
+    def lowest(js):
+        return min(js, key=cols.__getitem__, default=None)
+
+    def run(limit: int) -> str:
+        # optimal when every reduced cost in the last row is >= 0.
+        # Bland: entering = lowest-numbered variable below limit with
+        # negative reduced cost; leaving = minimum ratio, ties by
+        # lowest-numbered basic variable.
         while True:
-            enter = next((j for j in range(allowed) if obj[j] < 0), None)
+            obj = tab[-1]
+            enter = lowest(j for j, v in enumerate(cols) if v < limit and obj[j] < 0)
             if enter is None:
                 return "optimal"
-            leave = -1
-            best = None
-            for i in range(m):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
+            rows = [i for i in range(m) if tab[i][enter] > 0]
+            if not rows:
                 return "unbounded"
-            pivot(leave, enter, obj)
+            leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+            pivot(leave, enter)
 
-    if na:
-        # phase 1: maximize -sum(artificials); value 0 iff feasible
-        obj1 = [F0] * (ncols + 1)
-        for k in range(na):
-            obj1[art_base + k] = F1
-        for i in art_rows:
-            obj1 = [x - y for x, y in zip(obj1, tab[i])]
-        status = run(obj1, ncols)
+    if neg:
+        # phase 1: value 0 iff feasible.  An artificial that leaves keeps
+        # its column here, since Bland's rule may bring it back.
+        status = run(art + m)
         assert status == "optimal"  # bounded above by 0
-        if obj1[-1] != 0:
+        if tab.pop()[-1] != 0:
             return LpResult("infeasible")
         # drive leftover zero-valued artificials out of the basis with
         # degenerate pivots.  A nonzero non-artificial entry always
-        # exists: a reduced row can never zero out its own slack column
-        # coefficient, which no other row shares.
+        # exists: the artificial's own slack is nonbasic with -1 there.
         for r in range(m):
-            if basis[r] >= art_base:
-                c = next(j for j in range(nv + m) if tab[r][j])
-                pivot(r, c, obj1)
+            if basis[r] >= art:
+                pivot(r, lowest(j for j, v in enumerate(cols) if v < art and tab[r][j]))
 
-    obj2 = [-c for c in lp.objective] + [F0] * (m + na + 1)
-    for r in range(m):
-        bv = basis[r]
-        if bv < nv and obj2[bv]:
-            f = obj2[bv]
-            obj2 = [x - f * y for x, y in zip(obj2, tab[r])]
-
-    # artificial columns are barred from entering in phase 2
-    status = run(obj2, nv + m)
-    if status == "unbounded":
+    # artificials are barred from entering in phase 2
+    if run(art) == "unbounded":
         return LpResult("unbounded")
 
     x = [F0] * nv
@@ -355,9 +339,10 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         if bv < nv:
             x[bv] = tab[r][-1]
     value = sum((c * xi for c, xi in zip(lp.objective, x)), F0)
-    # dual of row i = reduced cost of its slack column (the sign works
-    # out the same for negated rows, whose slack coefficient is -1)
-    y = [obj2[nv + i] for i in range(m)]
+    # dual of row i = reduced cost of its slack, 0 while basic (the sign
+    # works out the same for negated rows, whose slack coefficient is -1)
+    reduced = dict(zip(cols, tab[m]))
+    y = [reduced.get(nv + i, F0) for i in range(m)]
     _verify_optimal(lp, x, value, y)
     return LpResult("optimal", value, tuple(x), tuple(y))
 

@@ -11,11 +11,17 @@ representation exists.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .exact import GaussianRational, inner
@@ -94,6 +100,43 @@ def _normalized_stats(v: np.ndarray, g: Graph):
     return u, residual, mpd
 
 
+@functools.cache
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS with its thread-count calls, or None."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread, then restore its count.
+
+    L-BFGS-B's BLAS threads otherwise compete with each other and with
+    the other pool workers for the cores.  Does nothing when the
+    library or its calls are missing; the environment is left alone so
+    that BLAS outside this search keeps its threads."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+
+
 def _one_restart(job):
     g, d, is_complex, seed, k = job
     n = g.n
@@ -101,9 +144,10 @@ def _one_restart(job):
     rng = np.random.default_rng(seed + k)
     width = 2 * d if is_complex else d
     x0 = rng.normal(size=n * width)
-    res = minimize(_objective, x0, args=(n, d, edges, is_complex),
-                   jac=True, method="L-BFGS-B",
-                   options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14})
+    with _one_blas_thread():
+        res = minimize(_objective, x0, args=(n, d, edges, is_complex),
+                       jac=True, method="L-BFGS-B",
+                       options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14})
     x = res.x
     if is_complex:
         m = x.reshape(n, 2 * d)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ class TestCertifyYuOh:
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             v /= np.linalg.norm(v)
             assert quantum_value(s, wf, v) > float(cert.y)
+
+    def test_rationalization_ladder(self, monkeypatch):
+        # with the chi_f fast path out of the way, the cutting planes'
+        # float weights must rationalize to the same certificate
+        import siccert.certify as certify_module
+        monkeypatch.setattr(certify_module, "fractional_chromatic_number",
+                            lambda g: SimpleNamespace(value=Fraction(0)))
+        s = yu_oh()
+        cert = certify_sic(s)
+        assert cert.status == "SIC"
+        assert cert.rounds >= 1
+        assert cert.y == Fraction(33, 35)
+        assert cert.w == (Fraction(9, 35),) * 9 + (Fraction(6, 35),) * 4
+        assert noncontextual_bound(cert.graph, cert.w) == cert.y
+        assert cert.psd_witness.psd
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            certify_sic(yu_oh(), tol=tol)
 
     def test_emit_requires_sic(self):
         s = ProjectorSet.from_exact(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

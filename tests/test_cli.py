@@ -245,6 +245,13 @@ class TestOddInput:
         err = self.quiet_run(capsys, *argv)
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["certify", "inequality"])
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_certify_tol(self, capsys, command, tol):
+        err = self.quiet_run(capsys, command, "--numeric", "--tol", tol,
+                             str(fixture_path("yu_oh_d3.vec")))
+        assert "tol must be positive and finite" in err
+
     def test_bad_enumerate_workers(self, capsys):
         err = self.quiet_run(capsys, "enumerate", "--max-n", "3",
                              "--workers", "0")

@@ -1,5 +1,6 @@
 """Exact chromatic and fractional chromatic numbers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -178,6 +179,35 @@ class TestFractional:
             res = fractional_chromatic_number(g)
             hi = chromatic_number(g).value
             assert lo <= res.value <= hi
+
+
+# first 16 hex digits of the sha256 of "value weights cover" for each
+# class, taken with the full-tableau LP solver; Bland's rule picks one
+# optimal vertex among several, and these pin which
+CHI_F_GOLDEN = {
+    "L?AEB?oDDIQSUS": "b0364b4576d9e299",
+    "L?AEB?oFDHISPS": "7407ba52c6bb87e8",
+    "L?ABA_oo_iREJa": "caf094a886bd0852",
+    "L?ABAagF@bWgHc": "9a54ed43e28a4904",
+    "L?ABEagE`gH``c": "e21a810f3aae09e4",
+    "L?AB?vOLDPHa`o": "13e3b2dd7741a9c2",
+    "L?BDA_gEREHcac": "737c74609a0ceb42",
+    "L?`D@bCUCbDgWc": "c57448949a301b05",
+    "K_GTCceEQHHB": "ae2c778fd1f0f519",
+    "cone(L?AB?vOLDPHa`o)": "e19be109e0efee04",
+}
+
+
+def test_fractional_golden():
+    assert set(THIRTEEN_CHI4_G6) < set(CHI_F_GOLDEN)
+    for name, want in CHI_F_GOLDEN.items():
+        if name.startswith("cone("):
+            g = cone(parse_graph6(name[5:-1]))
+        else:
+            g = parse_graph6(name)
+        r = fractional_chromatic_number(g)
+        text = f"{r.value} {r.weights} {r.cover}"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
 
 
 class TestSicScreening:

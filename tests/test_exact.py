@@ -1,6 +1,8 @@
 """Exact rational arithmetic: formats, LP solver, PSD factorization."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +237,63 @@ class TestExactLp:
             LinearProgram.make([1], [[1, 2]], [1])  # width mismatch
         with pytest.raises(ValueError):
             LinearProgram.make([1], [[1]], [1, 2])  # rhs length mismatch
+
+
+# sha256 of the results of random_lps(10, 400), taken with a full
+# tableau (a column for every variable); the condensed tableau makes
+# the same Bland pivots, so it must give the same digest
+LP_GOLDEN_SHA256 = \
+    "19c9268ae719b0157e2d5f435b28db78ebc6813a21bf60b043e50cbb3f5a7194"
+
+
+def random_lps(seed: int, count: int):
+    """Seeded LPs with 1-6 variables, 1-7 rows, fractional data and
+    right-hand sides of both signs, so both phases run."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    for _ in range(count):
+        nv, m = rng.randint(1, 6), rng.randint(1, 7)
+        objective = [q() for _ in range(nv)]
+        rows = [[q() for _ in range(nv)] for _ in range(m)]
+        rhs = [Fraction(rng.randint(-5, 6), rng.choice((1, 2))) for _ in range(m)]
+        yield LinearProgram.make(objective, rows, rhs)
+
+
+def test_lp_results_golden():
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for lp in random_lps(10, 400):
+        res = lp_solve_exact(lp)
+        statuses[res.status] += 1
+        digest.update(f"{res.status} {res.value} {res.solution} {res.dual}\n".encode())
+    assert statuses == {"optimal": 98, "infeasible": 172, "unbounded": 130}
+    assert digest.hexdigest() == LP_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("objective, rows, rhs, dual", [
+    # the artificials' numbering (by row) decides a Bland tie
+    (["-1/3", -1, 0],
+     [[-1, -2, 0], [-4, "-1/2", -1], ["-4/3", -3, 2], [0, "4/3", "1/3"],
+      ["1/2", 1, "-1/2"], [0, 0, -3]],
+     [-3, 4, -4, 1, 2, 2],
+     [0, 0, "1/4", 0, 0, 0]),
+    # an artificial left basic at zero after phase 1 is driven out on
+    # its row's lowest-numbered nonzero column
+    ([1, 2, "1/2", 6, "1/2", "-5/3"],
+     [[-4, -1, 0, 3, "1/3", 3], [-1, 0, -4, -3, "4/3", "-4/3"],
+      [5, 0, 1, 1, "5/3", 5], [4, 3, 4, -2, -1, -4]],
+     ["-1/2", "3/2", 0, "3/2"],
+     ["115/43", 0, "47/43", "67/43"]),
+])
+def test_dual_vertex_pinned(objective, rows, rhs, dual):
+    # both LPs have several optimal dual vertices; the pivots decide
+    # which one is returned
+    res = solve(objective, rows, rhs)
+    assert res.status == "optimal"
+    assert res.dual == tuple(Fraction(y) for y in dual)
 
 
 def random_hermitian(rng: np.random.Generator, d: int, definite: int):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from siccert import realize
 from siccert.graphs import Graph, parse_graph6
 from siccert.realize import (
     find_realization,
@@ -85,6 +86,39 @@ class TestSearch:
                 find_realization(YU_OH, 3, delta=bad)
         with pytest.raises(ValueError, match="workers"):
             find_realization(YU_OH, 3, workers=0)
+
+
+class TestBlasThreads:
+    def test_minimize_runs_on_one_blas_thread(self, monkeypatch):
+        lib = realize._scipy_openblas()
+        if lib is None:
+            pytest.skip("scipy has no bundled OpenBLAS here")
+        seen = []
+        real = realize.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(lib.scipy_openblas_get_num_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(realize, "minimize", spy)
+        before = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(2)  # capped at the CPUs it found
+        callers = lib.scipy_openblas_get_num_threads()
+        try:
+            find_realization(YU_OH, 3, restarts=2)
+            after = lib.scipy_openblas_get_num_threads()
+        finally:
+            lib.scipy_openblas_set_num_threads(before)
+        assert seen == [1, 1]
+        assert after == callers  # the caller's count is restored
+
+    def test_missing_library_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(realize, "_scipy_openblas", lambda: None)
+        unpinned = find_realization(YU_OH, 3, restarts=3)
+        monkeypatch.undo()
+        pinned = find_realization(YU_OH, 3, restarts=3)
+        assert unpinned.status == pinned.status == "found"
+        assert np.array_equal(unpinned.vectors, pinned.vectors)
 
 
 class TestObjective:
