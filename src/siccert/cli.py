@@ -40,6 +40,7 @@ from .graphs import (
     parse_graph6,
 )
 from .realize import find_realization
+from .runner import check_workers
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -67,6 +68,7 @@ def cmd_enumerate(args) -> int:
         print(f"error: --max-n must be between 1 and {MAX_ENUM_N}",
               file=sys.stderr)
         return EXIT_CONFIG
+    check_workers(args.workers)  # before the output file is truncated
     with _output(args.output) as out:
         if args.chi_gt is None:
             sink = lambda g: print(encode_graph6(g), file=out)

@@ -132,9 +132,8 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
     """
     working = maximal_set_per_vertex(g)
     rows = [_indicator(s, g.n) for s in working]
-    one = Fraction(1)
     while True:
-        lp = LinearProgram((one,) * g.n, tuple(rows), (one,) * len(rows))
+        lp = LinearProgram((1,) * g.n, tuple(rows), (1,) * len(rows))
         res = lp_solve_exact(lp)
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
         w = list(res.solution)
@@ -151,9 +150,9 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
     return FractionalResult(res.value, tuple(w), tight, cover)
 
 
-def _indicator(s: int, n: int) -> tuple[Fraction, ...]:
+def _indicator(s: int, n: int) -> tuple[int, ...]:
     """The 0/1 row of the vertex set s."""
-    return tuple(Fraction(s >> v & 1) for v in range(n))
+    return tuple(s >> v & 1 for v in range(n))
 
 
 def _set_weight(w: list[Fraction], s: int) -> Fraction:

@@ -32,7 +32,7 @@ from .graphs import (
     is_square_free,
     iter_bits,
 )
-from .runner import ordered_results
+from .runner import check_workers, ordered_results
 
 MAX_ENUM_N = 13
 SEED_LEVEL = 8
@@ -222,8 +222,7 @@ def enumerate_square_free_connected(
     """
     if not 1 <= n_max <= MAX_ENUM_N:
         raise ValueError(f"n_max must be within 1..{MAX_ENUM_N}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_workers(workers)
     t0 = time.perf_counter()
     report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
 

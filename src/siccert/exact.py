@@ -4,9 +4,14 @@ solver, and a positive-semidefiniteness test for Hermitian matrices.
 Everything here is tolerance-free.  Rationals are stdlib Fractions;
 complex entries are pairs of Fractions.  The LP solver pivots a
 condensed tableau (a row per basic and a column per nonbasic
-variable) by Bland's rule and re-verifies its own optimality
-certificate by substitution before returning; the PSD test produces
-a factorization or a counterexample vector that callers can replay.
+variable) by Bland's rule.  Each row is held as integer numerators
+over one positive integer denominator, so a pivot is integer
+arithmetic plus a gcd on the rows it changes (the fraction-free
+pivoting of Edmonds and Bareiss, with a denominator per row rather
+than one for the whole tableau).  The solver re-verifies its own
+optimality certificate in Fractions before returning; the PSD test
+produces a factorization or a counterexample vector that callers can
+replay.
 """
 
 from __future__ import annotations
@@ -215,11 +220,13 @@ def nullspace(rows: list[Vector], d: int) -> list[Vector]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0."""
+    """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0.
 
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    Entries may be Fractions or ints (make converts to Fractions)."""
+
+    objective: tuple[Fraction | int, ...]
+    rows: tuple[tuple[Fraction | int, ...], ...]
+    rhs: tuple[Fraction | int, ...]
 
     def __post_init__(self):
         nv = len(self.objective)
@@ -251,50 +258,51 @@ class LpCertificateError(AssertionError):
 
 
 def lp_solve_exact(lp: LinearProgram) -> LpResult:
-    """Two-phase simplex with Bland's rule on a condensed tableau, fully
-    in Fractions.
+    """Two-phase simplex with Bland's rule on a condensed tableau: a row
+    per basic variable (int numerators over one positive int row
+    denominator) and a column per nonbasic one plus the right-hand side.
 
-    One row per basic variable, one column per nonbasic variable plus
-    the right-hand side; the objective rows pivot like the others.
     Variables are numbered x_j = j, slack of row i = nv + i, artificial
-    of row i = nv + m + i, and Bland's rule compares these numbers, so
-    the pivots are those of the full tableau.  On "optimal" the result
-    carries the primal solution and the dual vector of the ≤ system;
-    both are re-verified by substitution (feasibility plus equal
-    objectives) before returning.
+    of row i = nv + m + i; Bland's rule compares these numbers, so the
+    pivots are the full Fraction tableau's.  On "optimal" the primal
+    solution and the duals of the ≤ rows are re-verified in Fractions.
     """
-    nv = len(lp.objective)
-    m = len(lp.rows)
+    nv, m = len(lp.objective), len(lp.rows)
     art = nv + m  # the first artificial's number
-    F0, F1 = Fraction(0), Fraction(1)
+    F0 = Fraction(0)
 
     # a row with negative rhs is negated: its slack (coefficient -1)
     # starts nonbasic and an artificial starts basic in its place
     neg = [i for i in range(m) if lp.rhs[i] < 0]
     cols = list(range(nv)) + [nv + i for i in neg]
     basis: list[int] = []
-    tab: list[list[Fraction]] = []
+    rat = []  # the rows as Fractions and ints, before scaling
     for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
         sgn = -1 if b < 0 else 1
-        slacks = [-F1 if k == i else F0 for k in neg]
-        tab.append([sgn * a for a in row] + slacks + [sgn * b])
+        slacks = [-1 if k == i else 0 for k in neg]
+        rat.append([sgn * a for a in row] + slacks + [sgn * b])
         basis.append(art + i if b < 0 else nv + i)
     # objective rows hold reduced costs (z_j - c_j); the phase-2 row
     # maximizes the objective, the phase-1 row -sum(artificials)
-    tab.append([-c for c in lp.objective] + [F0] * (len(neg) + 1))
+    rat.append([-c for c in lp.objective] + [0] * (len(neg) + 1))
     if neg:
-        tab.append([-sum(col) for col in zip(*(tab[i] for i in neg))])
+        rat.append([-sum(col) for col in zip(*(rat[i] for i in neg))])
+    den = [math.lcm(*(v.denominator for v in r)) for r in rat]  # rows in lowest terms
+    tab = [[v.numerator * (d // v.denominator) for v in r] for r, d in zip(rat, den)]
 
     def pivot(r: int, c: int):
-        # the leaving variable's unit column takes the entering one's place
-        inv = 1 / tab[r][c]
-        tab[r][c] = F1
-        tab[r] = prow = [v * inv for v in tab[r]]
+        # row r goes over its entry p in c, with d_r in c and p's sign moved
+        # into the row; then row_i -> (row_i·p - row_i[c]·row_r) / (d_i·p)
+        p, tab[r][c] = tab[r][c], den[r]
+        prow = tab[r] = [v if p > 0 else -v for v in tab[r]]
+        p = den[r] = abs(p)
         for i, row in enumerate(tab):
             f = row[c]
             if i != r and f:
-                row[c] = F0
-                tab[i] = [v - f * p for v, p in zip(row, prow)]
+                row[c] = 0  # the leaving variable's unit column
+                row = [v * p - f * q for v, q in zip(row, prow)]
+                g = math.gcd(den[i] * p, *row)
+                tab[i], den[i] = [v // g for v in row], den[i] * p // g
         basis[r], cols[c] = cols[c], basis[r]
 
     def lowest(js):
@@ -303,17 +311,18 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     def run(limit: int) -> str:
         # optimal when every reduced cost in the last row is >= 0.
         # Bland: entering = lowest-numbered variable below limit with
-        # negative reduced cost; leaving = minimum ratio, ties by
-        # lowest-numbered basic variable.
+        # negative reduced cost; leaving = minimum ratio rhs_i/a_i, ties
+        # by lowest-numbered basic variable.
         while True:
             obj = tab[-1]
             enter = lowest(j for j, v in enumerate(cols) if v < limit and obj[j] < 0)
             if enter is None:
                 return "optimal"
-            rows = [i for i in range(m) if tab[i][enter] > 0]
-            if not rows:
+            pos = [i for i in range(m) if tab[i][enter] > 0]
+            if not pos:
                 return "unbounded"
-            leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+            s = math.lcm(*(tab[i][enter] for i in pos))  # each ratio·s is an int
+            leave = min(pos, key=lambda i: (tab[i][-1] * s // tab[i][enter], basis[i]))
             pivot(leave, enter)
 
     if neg:
@@ -321,6 +330,7 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         # its column here, since Bland's rule may bring it back.
         status = run(art + m)
         assert status == "optimal"  # bounded above by 0
+        den.pop()
         if tab.pop()[-1] != 0:
             return LpResult("infeasible")
         # drive leftover zero-valued artificials out of the basis with
@@ -330,18 +340,15 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
             if basis[r] >= art:
                 pivot(r, lowest(j for j, v in enumerate(cols) if v < art and tab[r][j]))
 
-    # artificials are barred from entering in phase 2
-    if run(art) == "unbounded":
+    if run(art) == "unbounded":  # phase 2 bars the artificials from entering
         return LpResult("unbounded")
 
-    x = [F0] * nv
-    for r, bv in enumerate(basis):
-        if bv < nv:
-            x[bv] = tab[r][-1]
+    at = {bv: Fraction(row[-1], d) for bv, row, d in zip(basis, tab, den)}
+    x = [at.get(j, F0) for j in range(nv)]
     value = sum((c * xi for c, xi in zip(lp.objective, x)), F0)
     # dual of row i = reduced cost of its slack, 0 while basic (the sign
     # works out the same for negated rows, whose slack coefficient is -1)
-    reduced = dict(zip(cols, tab[m]))
+    reduced = {v: Fraction(t, den[m]) for v, t in zip(cols, tab[m])}
     y = [reduced.get(nv + i, F0) for i in range(m)]
     _verify_optimal(lp, x, value, y)
     return LpResult("optimal", value, tuple(x), tuple(y))

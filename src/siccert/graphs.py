@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
-GRAPH6_MAX = 62
+GRAPH6_MAX = 62  # the largest n of graph6's one-byte (short) header
 
 
 class Graph6Error(ValueError):
@@ -107,15 +107,17 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form only, n <= 62)
+# graph6 codec: the short form for n <= 62, the long form for n = 63, 64
 # ---------------------------------------------------------------------------
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 string.
+    """Decode a graph6 string.
 
-    Bits are the upper triangle in column-major order, packed into
-    6-bit groups offset by 63.  Strict: length must match, padding
-    bits must be zero.
+    The header is one byte n + 63 for n <= 62, or "~" and n in three
+    6-bit groups for n = 63, 64.  Bits are the upper triangle in
+    column-major order, packed into 6-bit groups offset by 63.  Strict:
+    length must match, padding bits must be zero, and n must use the
+    shorter header.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -126,20 +128,26 @@ def parse_graph6(text: str) -> Graph:
         o = ord(ch)
         if not 63 <= o <= 126:
             raise Graph6Error(f"character {ch!r} outside graph6 range 63..126", k)
-    n = ord(s[0]) - 63
-    if n == 63:
-        raise Graph6Error("long-form graph6 (n > 62) not supported", 0)
-    if not 1 <= n <= GRAPH6_MAX:
-        raise Graph6Error(f"vertex count {n} outside 1..{GRAPH6_MAX}", 0)
+    if s[0] != "~":
+        start, n = 1, ord(s[0]) - 63
+        if not 1 <= n <= GRAPH6_MAX:
+            raise Graph6Error(f"vertex count {n} outside 1..{GRAPH6_MAX}", 0)
+    else:
+        if len(s) < 4:
+            raise Graph6Error("truncated long-form graph6 header", len(s))
+        start, n = 4, (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        if not GRAPH6_MAX < n <= MAX_VERTICES:
+            raise Graph6Error(f"long-form vertex count {n} outside "
+                              f"{GRAPH6_MAX + 1}..{MAX_VERTICES}", 1)
     nbits = n * (n - 1) // 2
-    expect = 1 + (nbits + 5) // 6
+    expect = start + (nbits + 5) // 6
     if len(s) != expect:
         off = min(len(s), expect)
         raise Graph6Error(
             f"length {len(s)} does not match {expect} for n={n}", off)
     rows = [0] * n
     bit = 0
-    for k in range(1, len(s)):
+    for k in range(start, len(s)):
         group = ord(s[k]) - 63
         for b in range(5, -1, -1):
             if group >> b & 1:
@@ -162,10 +170,12 @@ def _bit_to_pair(bit: int, n: int) -> tuple[int, int]:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph as its canonical short-form graph6 string."""
-    if g.n > GRAPH6_MAX:
-        raise Graph6Error(f"graph6 short form supports n <= {GRAPH6_MAX}, got {g.n}")
-    out = [chr(63 + g.n)]
+    """Encode a graph as its graph6 string, in the long form for n > 62."""
+    n = g.n
+    if n <= GRAPH6_MAX:
+        out = [chr(63 + n)]
+    else:
+        out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
     group = 0
     nb = 0
     for j in range(1, g.n):

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 
 from .exact import GaussianRational, inner
 from .graphs import Graph
-from .runner import ordered_results
+from .runner import check_workers, ordered_results
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,7 @@ def find_realization(g: Graph, d: int, field: str = "real",
         raise ValueError("tol and delta must be positive and finite")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_workers(workers)
     is_complex = field == "complex"
     jobs = [(g, d, is_complex, seed, k) for k in range(restarts)]
     runs = list(ordered_results(_one_restart, jobs, workers))

@@ -15,6 +15,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless workers is a usable worker count."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
 def ordered_results(fn, jobs: list, workers: int = 1):
     """Yield fn(job) for each job, in job order, each as soon as it and
     every earlier job are done.  One worker (or one job, or one usable

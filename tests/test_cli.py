@@ -8,7 +8,7 @@ import pytest
 from siccert import fixture_path
 from siccert.cli import main
 from siccert.enumeration import MAX_ENUM_N
-from siccert.graphs import Graph, encode_graph6
+from siccert.graphs import Graph, cone, encode_graph6
 
 YU_OH_G6 = "L?AB?vOLDPHa`o"
 # sha256 of the stdout of `siccert enumerate --max-n 9`
@@ -99,6 +99,18 @@ class TestGraphQueries:
         code, out, _ = run(capsys, "graph", "cone", tri)
         assert code == 0
         assert out.strip() == encode_graph6(Graph.complete(4))
+
+    def test_long_form_graph6(self, capsys):
+        # the cone of a 62-vertex path has 63 vertices: long-form graph6
+        path62 = encode_graph6(Graph.path(62))
+        code, out, _ = run(capsys, "graph", "cone", path62)
+        assert code == 0
+        assert out.strip() == encode_graph6(cone(Graph.path(62)))
+        assert out.startswith("~??~")
+        code, out, _ = run(capsys, "graph", "cone", out.strip())
+        assert code == 0 and out.startswith("~?@?")
+        code, out, _ = run(capsys, "graph", "connected", out.strip())
+        assert code == 0 and out.strip() == "true"
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "graph", "chi", "###")
@@ -256,6 +268,14 @@ class TestOddInput:
         err = self.quiet_run(capsys, "enumerate", "--max-n", "3",
                              "--workers", "0")
         assert "workers must be at least 1" in err
+
+    def test_bad_enumerate_workers_keeps_output(self, capsys, tmp_path):
+        f = tmp_path / "census.g6"
+        f.write_bytes(b"kept\n")
+        err = self.quiet_run(capsys, "enumerate", "--max-n", "3",
+                             "--workers", "0", "--output", str(f))
+        assert "workers must be at least 1" in err
+        assert f.read_bytes() == b"kept\n"
 
 
 class TestArgumentErrors:

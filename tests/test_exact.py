@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from siccert.exact import (
     GR_ZERO,
     GaussianRational,
     LinearProgram,
+    LpResult,
     format_gaussian,
     format_rational,
     gm_is_hermitian,
@@ -373,3 +375,151 @@ class TestPsd:
                 assert val.im == 0 and val.re < 0
             else:
                 assert psd_reconstruct(res, d) == m
+
+
+# ---------------------------------------------------------------------------
+# differential test against a Fraction reference solver
+# ---------------------------------------------------------------------------
+
+def fraction_lp_solve(lp: LinearProgram, pivots: list, stats: Counter):
+    """The condensed-tableau simplex with every entry a Fraction: the
+    same variable numbering, Bland's rule, phase-1 row, drive-out and
+    phase-2 bar on artificials as lp_solve_exact.  Each pivot is
+    appended to pivots as (entering, leaving); stats counts ratio-test
+    ties, artificials that re-enter and drive-out pivots."""
+    nv = len(lp.objective)
+    m = len(lp.rows)
+    art = nv + m
+    F0, F1 = Fraction(0), Fraction(1)
+    neg = [i for i in range(m) if lp.rhs[i] < 0]
+    cols = list(range(nv)) + [nv + i for i in neg]
+    basis = []
+    tab = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        sgn = -1 if b < 0 else 1
+        slacks = [-F1 if k == i else F0 for k in neg]
+        tab.append([sgn * a for a in row] + slacks + [sgn * b])
+        basis.append(art + i if b < 0 else nv + i)
+    tab.append([-c for c in lp.objective] + [F0] * (len(neg) + 1))
+    if neg:
+        tab.append([-sum(col) for col in zip(*(tab[i] for i in neg))])
+
+    def pivot(r, c):
+        pivots.append((cols[c], basis[r]))
+        stats["artificial enters"] += cols[c] >= art
+        inv = 1 / tab[r][c]
+        tab[r][c] = F1
+        tab[r] = prow = [v * inv for v in tab[r]]
+        for i, row in enumerate(tab):
+            f = row[c]
+            if i != r and f:
+                row[c] = F0
+                tab[i] = [v - f * p for v, p in zip(row, prow)]
+        basis[r], cols[c] = cols[c], basis[r]
+
+    def lowest(js):
+        return min(js, key=cols.__getitem__, default=None)
+
+    def run(limit):
+        while True:
+            obj = tab[-1]
+            enter = lowest(j for j, v in enumerate(cols) if v < limit and obj[j] < 0)
+            if enter is None:
+                return "optimal"
+            rows = [i for i in range(m) if tab[i][enter] > 0]
+            if not rows:
+                return "unbounded"
+            ratios = Counter(tab[i][-1] / tab[i][enter] for i in rows)
+            stats["ratio ties"] += ratios[min(ratios)] > 1
+            leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+            pivot(leave, enter)
+
+    if neg:
+        assert run(art + m) == "optimal"
+        if tab.pop()[-1] != 0:
+            return LpResult("infeasible")
+        for r in range(m):
+            if basis[r] >= art:
+                stats["drive-outs"] += 1
+                pivot(r, lowest(j for j, v in enumerate(cols) if v < art and tab[r][j]))
+    if run(art) == "unbounded":
+        return LpResult("unbounded")
+    x = [F0] * nv
+    for r, bv in enumerate(basis):
+        if bv < nv:
+            x[bv] = tab[r][-1]
+    value = sum((c * xi for c, xi in zip(lp.objective, x)), F0)
+    reduced = dict(zip(cols, tab[m]))
+    y = [reduced.get(nv + i, F0) for i in range(m)]
+    return LpResult("optimal", value, tuple(x), tuple(y))
+
+
+def solve_recording_pivots(lp: LinearProgram):
+    """lp_solve_exact's result and its pivots as (entering, leaving),
+    read from the arguments of each call to its inner pivot function."""
+    pivots = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "pivot" \
+                and code.co_filename == lp_solve_exact.__code__.co_filename:
+            names = frame.f_locals
+            pivots.append((names["cols"][names["c"]], names["basis"][names["r"]]))
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        res = lp_solve_exact(lp)
+    finally:
+        sys.setprofile(previous)
+    return res, pivots
+
+
+def degenerate_lps(seed: int, count: int):
+    """Seeded LPs built to reach the simplex's corner cases: small data
+    with many zeros (ratio ties), zero and negative right-hand sides,
+    repeated rows and equalities written as a row and its negation
+    (artificials left basic at zero after phase 1, then driven out)."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.choice((0, 0, 0, 1, 1, -1, 2, -2, 3)),
+                        rng.choice((1, 1, 1, 2, 3)))
+
+    for _ in range(count):
+        nv, m = rng.randint(1, 5), rng.randint(1, 5)
+        objective = [q() for _ in range(nv)]
+        rows = [[q() for _ in range(nv)] for _ in range(m)]
+        rhs = [Fraction(rng.choice((0, 0, 1, 2, -1, -2, 3)), rng.choice((1, 2)))
+               for _ in range(m)]
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(len(rows))
+            if rng.random() < 0.6:  # an equality: the row and its negation
+                rows.append([-a for a in rows[k]])
+                rhs.append(-rhs[k])
+            else:  # a scaled copy of the row
+                s = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+                rows.append([s * a for a in rows[k]])
+                rhs.append(s * rhs[k])
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        yield LinearProgram.make(objective, [rows[i] for i in order],
+                                 [rhs[i] for i in order])
+
+
+def test_pivots_match_fraction_reference():
+    lps = list(random_lps(20, 1500)) + list(degenerate_lps(21, 1000))
+    stats, statuses = Counter(), Counter()
+    for lp in lps:
+        ref_pivots = []
+        ref = fraction_lp_solve(lp, ref_pivots, stats)
+        res, pivots = solve_recording_pivots(lp)
+        assert pivots == ref_pivots
+        assert res == ref
+        statuses[res.status] += 1
+        stats["pivots"] += len(pivots)
+    # the sample reaches every branch it is meant to check
+    assert min(statuses.values()) >= 300, statuses
+    assert stats["drive-outs"] >= 100, stats
+    assert stats["artificial enters"] >= 15, stats
+    assert stats["ratio ties"] >= 300, stats

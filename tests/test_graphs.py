@@ -141,8 +141,37 @@ class TestGraph6:
             parse_graph6(bad)
 
     def test_capacity(self):
-        with pytest.raises(Graph6Error):
-            encode_graph6(Graph.empty(63))
+        # n = 63, 64 take the long form: "~" and n in three 6-bit groups
+        for n, header in ((63, "~??~"), (64, "~?@?")):
+            g = Graph.path(n)
+            s = encode_graph6(g)
+            assert s[:4] == header
+            assert len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(s) == g
+        assert encode_graph6(Graph.path(62))[0] == chr(63 + 62)
+
+    def test_long_form_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(63)
+        for n in (63, 64, 63, 64, 63, 64):
+            g = random_graph(n, rng.random(), rng)
+            h = to_networkx(nx, g)
+            theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert encode_graph6(g) == theirs
+            assert parse_graph6(theirs) == g
+            back = nx.from_graph6_bytes(encode_graph6(g).encode())
+            assert nx.utils.graphs_equal(back, h)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("~?", 2),  # truncated header
+        ("~??}", 1),  # n = 62 must use the short form
+        ("~?@@", 1),  # n = 65 is beyond the vertex limit
+        ("~~??????", 1),  # the 36-bit header of n > 258047
+        ("~??~" + "?" * 10, 14),  # n = 63 needs 4 + 326 bytes
+    ])
+    def test_long_form_errors(self, text, offset):
+        with pytest.raises(Graph6Error, match=f"byte offset {offset}"):
+            parse_graph6(text)
 
 
 class TestPredicates:
