@@ -76,8 +76,11 @@ def _relabel_rows(rows: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, .
     out = []
     for v in order:
         row = 0
-        for u in iter_bits(rows[v]):
-            row |= 1 << pos[u]
+        m = rows[v]
+        while m:
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
         out.append(row)
     return tuple(out)
 
@@ -128,7 +131,12 @@ class CanonResult:
         raise ValueError(f"vertex {v} out of range")
 
 
-def canonicalize(g: Graph) -> CanonResult:
+def canonicalize(g: Graph, *, _root: list[int] | None = None) -> CanonResult:
+    """Canonical labeling, automorphism generators and orbits of g.
+
+    _root is private to the census: equitable_partition(g) when the
+    caller has just computed it, so the search need not refine it again.
+    """
     rows = g.rows
     n = g.n
     best_key: tuple[int, ...] | None = None
@@ -145,9 +153,13 @@ def canonicalize(g: Graph) -> CanonResult:
         frontier = orbit
         while frontier:
             nxt = 0
-            for u in iter_bits(frontier):
+            m = frontier
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
                 for p in usable:
                     nxt |= 1 << p[u]
+                m ^= low
             frontier = nxt & ~orbit
             orbit |= frontier
             if orbit & tried:
@@ -183,7 +195,7 @@ def canonicalize(g: Graph) -> CanonResult:
             split = cells[:tgt] + parts + cells[tgt + 1:]
             rec(equitable_partition(g, split, parts), path + [v])
 
-    rec(equitable_partition(g, None), [])
+    rec(equitable_partition(g) if _root is None else _root, [])
     assert best_key is not None and best_order is not None
     return CanonResult(best_key, best_order, tuple(generators),
                        tuple(_orbit_closure(n, generators)))

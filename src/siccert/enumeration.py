@@ -15,6 +15,17 @@ must too.  Attachment sets smaller than the parent's maximum degree
 are never generated, and a set of exactly that size is rejected when
 it holds a vertex of maximum degree, before any child graph is built
 or refined.
+
+Every leaf of the canonical search refines the root equitable
+partition in place, so the canonically-last vertex lies in the root's
+last cell.  A child whose new vertex is outside that cell is rejected,
+and one whose last cell is the new vertex alone is accepted, both
+without a canonical search.  A child accepted that way is
+canonicalized only when its labeling is used: to grow it further, to
+pass its canonical form to a sink, or to print the graph6 line of a
+graph that passes the χ filter.  Counting and the χ test are
+isomorphism-invariant, so they run on the child as built.  The search,
+when it runs, starts from the root partition already computed.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .graphs import (
     encode_graph6,
     is_connected,
     is_square_free,
-    iter_bits,
 )
 from .runner import check_workers, ordered_results
 
@@ -53,13 +63,25 @@ class EnumerationReport:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def emit(self, g: Graph, sink=None) -> None:
-        """Count one class, apply the χ > d filter, then pass g to sink."""
+    def emit(self, g: Graph, cres: CanonResult | None, sink=None,
+             cells: list[int] | None = None) -> None:
+        """Count g's class, apply the χ > d filter, then pass the
+        canonical form to sink.  g may have any labeling: the count and
+        χ do not depend on it.  cres is g's CanonResult or None; then
+        g is canonicalized, from its root partition cells when given,
+        only if a filtered line or sink needs the canonical form."""
         self.counts[g.n] = self.counts.get(g.n, 0) + 1
-        if self.chi_filter is not None and chi_greater_than(g, self.chi_filter):
-            self.filtered.append(encode_graph6(g))
+        passes = (self.chi_filter is not None
+                  and chi_greater_than(g, self.chi_filter))
+        if not passes and sink is None:
+            return
+        if cres is None:
+            cres = canonicalize(g, _root=cells)
+        form = Graph(g.n, cres.key)
+        if passes:
+            self.filtered.append(encode_graph6(form))
         if sink is not None:
-            sink(g)
+            sink(form)
 
     def merge(self, other: EnumerationReport) -> None:
         """Add the counts and filtered graphs of a worker's report."""
@@ -70,8 +92,10 @@ class EnumerationReport:
 
 def _apply_perm_to_mask(perm: tuple[int, ...], mask: int) -> int:
     out = 0
-    for v in iter_bits(mask):
-        out |= 1 << perm[v]
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -118,9 +142,11 @@ def _extend(parent: Graph, s: int) -> Graph:
     return Graph(parent.n + 1, rows)
 
 
-def _children(parent: Graph, canon: CanonResult, *,
-              require_connected: bool) -> list[tuple[Graph, CanonResult]]:
-    """Accepted one-vertex extensions of parent, one per class."""
+def _children(parent: Graph, canon: CanonResult, *, require_connected: bool
+              ) -> list[tuple[Graph, list[int], CanonResult | None]]:
+    """Accepted one-vertex extensions of parent, one per class, each
+    with its root equitable partition and its CanonResult, or None
+    when it was accepted without a canonical search."""
     # degree reject: the canonically-last vertex always lies in the
     # last cell of the root equitable partition, which holds only
     # vertices of maximum degree, so the new vertex x can be accepted
@@ -163,29 +189,36 @@ def _children(parent: Graph, canon: CanonResult, *,
         seen.update(orbit)
 
         child = _extend(parent, s)
-        # cheap reject: orbits never cross cells of the root equitable
-        # partition, so x outside its last cell can never be accepted
+        # leaf partitions refine the root equitable partition in place,
+        # so the canonically-last vertex lies in its last cell.  Cheap
+        # reject: x outside that cell; cheap accept: x alone in it.
         cells = equitable_partition(child)
         if not cells[-1] & xbit:
             continue
-        cres = canonicalize(child)
+        if cells[-1] == xbit:
+            out.append((child, cells, None))
+            continue
+        cres = canonicalize(child, _root=cells)
         last = cres.order[child.n - 1]
         if cres.orbit_of(x) >> last & 1:
-            out.append((child, cres))
+            out.append((child, cells, cres))
     return out
 
 
 def _expand(g: Graph, cres: CanonResult, report: EnumerationReport,
             sink) -> list[tuple[Graph, CanonResult]]:
-    """One growth step: emit every connected accepted child of g (as a
-    canonical-form Graph) and return the children still to grow."""
+    """One growth step: emit every connected accepted child of g and
+    return the children still to grow, each with its CanonResult."""
     n_max = report.n_max
     grow = []
-    for child, ccres in _children(g, cres, require_connected=g.n + 1 == n_max):
-        if is_connected(child):
-            report.emit(Graph(child.n, ccres.key), sink)
+    for child, cells, ccres in _children(g, cres,
+                                         require_connected=g.n + 1 == n_max):
         if child.n < n_max:
+            if ccres is None:
+                ccres = canonicalize(child, _root=cells)
             grow.append((child, ccres))
+        if is_connected(child):
+            report.emit(child, ccres, sink, cells)
     return grow
 
 
@@ -228,7 +261,7 @@ def enumerate_square_free_connected(
 
     root = Graph.empty(1)
     root_canon = canonicalize(root)
-    report.emit(Graph(1, root_canon.key), sink)
+    report.emit(root, root_canon, sink)
 
     level: list[tuple[Graph, CanonResult]] = [(root, root_canon)]
     for _ in range(2, min(SEED_LEVEL, n_max) + 1):

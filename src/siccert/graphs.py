@@ -48,16 +48,20 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
+        rows = self.rows
         full = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {i} has bits beyond vertex range")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in iter_bits(self.rows[i]):
-                if not self.rows[j] >> i & 1:
+        for i, row in enumerate(rows):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not rows[j] >> i & 1:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
+                row ^= low
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -146,27 +150,25 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"length {len(s)} does not match {expect} for n={n}", off)
     rows = [0] * n
-    bit = 0
+    # column-major upper triangle: column j holds the bits base..base+j-1,
+    # the pairs (i, j) for i < j, and set bits are met in ascending order
+    j, base = 1, 0
     for k in range(start, len(s)):
         group = ord(s[k]) - 63
-        for b in range(5, -1, -1):
-            if group >> b & 1:
-                if bit >= nbits:
-                    raise Graph6Error("nonzero padding bits", k)
-                # column-major upper triangle: bit index -> (i, j), i < j
-                i, j = _bit_to_pair(bit, n)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
+        first = 6 * (k - start) + 5  # the bit of group's lowest position
+        while group:
+            top = group.bit_length() - 1
+            group ^= 1 << top
+            bit = first - top
+            if bit >= nbits:
+                raise Graph6Error("nonzero padding bits", k)
+            while bit >= base + j:
+                base += j
+                j += 1
+            i = bit - base
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def _bit_to_pair(bit: int, n: int) -> tuple[int, int]:
-    j = 1
-    while bit >= j:
-        bit -= j
-        j += 1
-    return bit, j
 
 
 def encode_graph6(g: Graph) -> str:

@@ -1,9 +1,9 @@
 """Acceptance gate: seven end-to-end criteria with one printed
 pass/fail line each.
 
-Criterion 3's full thirteen-vertex census takes about eight minutes
-on one core; by default the known classes are verified directly
-and the full run is enabled with SICCERT_FULL_CENSUS=1.
+Criterion 3's full thirteen-vertex census takes about three and a
+half minutes on one core; by default the known classes are verified
+directly and the full run is enabled with SICCERT_FULL_CENSUS=1.
 """
 
 import os

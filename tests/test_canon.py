@@ -13,7 +13,7 @@ from siccert.canon import (
     canonicalize,
     equitable_partition,
 )
-from siccert.graphs import Graph, parse_graph6
+from siccert.graphs import Graph, iter_bits, parse_graph6
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -268,3 +268,134 @@ class TestRefinementProperties:
         split = cells[:i] + parts + cells[i + 1:]
         assert equitable_partition(g, split, parts) == \
             equitable_partition(g, split)
+
+
+def reference_canonicalize(g: Graph) -> tuple:
+    """The individualization-refinement search as it stood before its
+    bit walks were inlined and before it could take the root partition
+    from its caller: (key, order, generators, orbits)."""
+    n = g.n
+    best: list = [None, None]
+    generators: list[tuple[int, ...]] = []
+
+    def relabel_rows(order):
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        return tuple(sum(1 << pos[u] for u in iter_bits(g.rows[v]))
+                     for v in order)
+
+    def in_tried_orbit(v, tried, path):
+        usable = [p for p in generators if all(p[q] == q for q in path)]
+        orbit = frontier = 1 << v
+        while usable and frontier:
+            nxt = 0
+            for u in iter_bits(frontier):
+                for p in usable:
+                    nxt |= 1 << p[u]
+            frontier = nxt & ~orbit
+            orbit |= frontier
+            if orbit & tried:
+                return True
+        return False
+
+    def rec(cells, path):
+        wide = [i for i, c in enumerate(cells) if c.bit_count() > 1]
+        if not wide:
+            order = tuple(c.bit_length() - 1 for c in cells)
+            key = relabel_rows(order)
+            if best[0] is None or key < best[0]:
+                best[:] = [key, order]
+            elif key == best[0]:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best[1][i]] = order[i]
+                generators.append(tuple(perm))
+            return
+        tgt = wide[0]
+        cell = cells[tgt]
+        tried = 0
+        for v in iter_bits(cell):
+            if tried and in_tried_orbit(v, tried, path):
+                continue
+            tried |= 1 << v
+            parts = [1 << v, cell ^ (1 << v)]
+            split = cells[:tgt] + parts + cells[tgt + 1:]
+            rec(equitable_partition(g, split, parts), path + [v])
+
+    rec(equitable_partition(g), [])
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for p in generators:
+        for v in range(n):
+            ra, rb = find(v), find(p[v])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    orbits: dict[int, int] = {}
+    for v in range(n):
+        orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
+    return (best[0], best[1], tuple(generators),
+            tuple(orbits[r] for r in sorted(orbits)))
+
+
+def square_free_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """Random edges in random order, each kept with probability p
+    unless it would close a 4-cycle."""
+    rows = [0] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        if rng.random() >= p:
+            continue
+        # a 4-cycle through ij is a path i-a-b-j with a, b new to it
+        if any(rows[a] & rows[j] & ~(1 << i)
+               for a in iter_bits(rows[i] & ~(1 << j))):
+            continue
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def seeded_graphs(count: int, seed: int):
+    """count seeded graphs on 1..18 vertices: random, square-free,
+    circulant (vertex-transitive, so the search finds automorphisms and
+    prunes by orbit), and two disjoint copies of a dense square-free
+    graph."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 18)
+        kind = i % 4
+        p = rng.uniform(0.1, 0.9)
+        if kind == 0:
+            yield random_graph(n, p, rng)
+        elif kind == 1:
+            yield square_free_graph(n, p, rng)
+        elif kind == 2:  # at most 12 vertices, as their searches are long
+            n = min(n, 12)
+            jumps = {rng.randint(1, max(1, n // 2))
+                     for _ in range(rng.randint(1, 3))}
+            yield Graph.from_edges(n, {tuple(sorted((v, (v + d) % n)))
+                                       for v in range(n) for d in jumps
+                                       if (v + d) % n != v})
+        else:
+            half = square_free_graph(max(1, n // 2), 0.5 + p / 2, rng)
+            k = half.n
+            yield Graph(2 * k, half.rows + tuple(r << k for r in half.rows))
+
+
+class TestRootReuse:
+    def test_same_result_from_the_callers_root_partition(self):
+        automorphic = 0
+        for g in seeded_graphs(10_000, 2026):
+            res = canonicalize(g)
+            assert canonicalize(g, _root=equitable_partition(g)) == res
+            assert (res.key, res.order, res.generators, res.orbits) == \
+                reference_canonicalize(g)
+            automorphic += bool(res.generators)
+        # the orbit pruning of the search is exercised, not only leaves
+        assert automorphic > 3_000

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from siccert import enumeration
 from siccert.canon import canonical_key, canonicalize, equitable_partition
 from siccert.coloring import chromatic_number, fractional_chromatic_number
 from siccert.enumeration import (
@@ -200,3 +201,66 @@ class TestDegreeReject:
             assert all(g.degree(v) == top
                        for v in range(g.n) if last >> v & 1)
             assert last >> canonicalize(g).order[-1] & 1
+
+    def test_singleton_last_cell_is_canonically_last(self):
+        # the premise of the cheap accept in _children
+        rng = random.Random(7)
+        singletons = 0
+        for _ in range(400):
+            g = random_square_free(rng.randint(1, 14), rng)
+            last = equitable_partition(g)[-1]
+            if last.bit_count() == 1:
+                singletons += 1
+                assert canonicalize(g).order[-1] == last.bit_length() - 1
+        assert singletons > 100
+
+
+COUNTS_10 = {**COUNTS, 10: 3389}
+
+
+@pytest.fixture(scope="module")
+def counted_census_10():
+    """The n = 10 census without and with a sink, each with the number
+    of canonicalize calls made by the enumeration module."""
+    calls = [0]
+    original = enumeration.canonicalize
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "canonicalize", counted)
+        plain = enumerate_square_free_connected(10)
+        plain_calls, calls[0] = calls[0], 0
+        seen = []
+        sunk = enumerate_square_free_connected(10, sink=seen.append)
+        sunk_calls = calls[0]
+    return plain, plain_calls, sunk, sunk_calls, seen
+
+
+class TestOnDemandCanon:
+    """A child accepted without a canonical search is canonicalized
+    only when its labeling is used, and the counts do not depend on
+    whether that happens."""
+
+    def test_counts_with_and_without_sink(self, counted_census_10):
+        plain, _, sunk, _, seen = counted_census_10
+        assert plain.counts == sunk.counts == COUNTS_10
+        assert len(seen) == sunk.total
+
+    def test_no_sink_canonicalizes_less(self, counted_census_10):
+        _, plain_calls, _, sunk_calls, _ = counted_census_10
+        # the sink run canonicalizes every accepted child at least once
+        assert sunk_calls >= sum(COUNTS_10.values())
+        assert plain_calls < sunk_calls
+
+    def test_filtered_lines_are_the_sinks_graphs(self):
+        seen = []
+        both = enumerate_square_free_connected(9, sink=seen.append, chi_gt=2)
+        plain = enumerate_square_free_connected(9, chi_gt=2)
+        expected = sorted((encode_graph6(g) for g in seen
+                           if chromatic_number(g).value > 2),
+                          key=lambda t: (len(t), t))
+        assert both.filtered == plain.filtered == expected
+        assert both.counts == plain.counts == COUNTS

@@ -83,6 +83,19 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("n, rows, message", [
+        (0, (), "vertex count 0 outside 1..64"),
+        (2, (2,), "row count does not match vertex count"),
+        (2, (4, 0), "row 0 has bits beyond vertex range"),
+        (3, (0, 2, 0), "self-loop at vertex 1"),
+        (3, (2, 0, 0), r"adjacency not symmetric at \(0,1\)"),
+        (3, (0, 4, 0), r"adjacency not symmetric at \(1,2\)"),
+        (4, (0, 0, 8, 1), r"adjacency not symmetric at \(2,3\)"),
+    ])
+    def test_validation_messages(self, n, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(n, rows)
+
     def test_vertex_mask(self):
         assert Graph.empty(4).vertex_mask() == 0b1111
 
@@ -161,6 +174,31 @@ class TestGraph6:
             assert parse_graph6(theirs) == g
             back = nx.from_graph6_bytes(encode_graph6(g).encode())
             assert nx.utils.graphs_equal(back, h)
+
+    def test_parse_against_networkx(self):
+        # networkx writes the strings, so the decode is checked against
+        # an independent codec, in the short and the long form
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(64)
+        cases = [nx.complete_graph(64), nx.complete_graph(62),
+                 nx.empty_graph(64), nx.path_graph(63)]
+        for n in [rng.randint(1, 62) for _ in range(40)] + [63, 64] * 5:
+            cases.append(nx.gnp_random_graph(n, rng.random(),
+                                             seed=rng.randrange(2 ** 30)))
+        for h in cases:
+            text = nx.to_graph6_bytes(h, header=False).decode().strip()
+            g = parse_graph6(text)
+            assert g.n == h.number_of_nodes()
+            assert set(g.edges()) == {tuple(sorted(e)) for e in h.edges()}
+
+    def test_padding_error_offset(self):
+        # n = 2 has one data bit; the rest of the byte is padding
+        with pytest.raises(Graph6Error,
+                           match=r"^nonzero padding bits \(byte offset 1\)$"):
+            parse_graph6("A" + chr(63 + 0b100001))
+        with pytest.raises(Graph6Error,
+                           match=r"^nonzero padding bits \(byte offset 3\)$"):
+            parse_graph6("E?" + chr(63 + 0b111111) + chr(63 + 0b111001))
 
     @pytest.mark.parametrize("text, offset", [
         ("~?", 2),  # truncated header
