@@ -146,7 +146,8 @@ def _children(parent: Graph, canon: CanonResult, *, require_connected: bool
               ) -> list[tuple[Graph, list[int], CanonResult | None]]:
     """Accepted one-vertex extensions of parent, one per class, each
     with its root equitable partition and its CanonResult, or None
-    when it was accepted without a canonical search."""
+    when it was accepted without a canonical search.  With
+    require_connected, only the connected ones."""
     # degree reject: the canonically-last vertex always lies in the
     # last cell of the root equitable partition, which holds only
     # vertices of maximum degree, so the new vertex x can be accepted
@@ -209,15 +210,16 @@ def _expand(g: Graph, cres: CanonResult, report: EnumerationReport,
             sink) -> list[tuple[Graph, CanonResult]]:
     """One growth step: emit every connected accepted child of g and
     return the children still to grow, each with its CanonResult."""
-    n_max = report.n_max
+    last = g.n + 1 == report.n_max
     grow = []
-    for child, cells, ccres in _children(g, cres,
-                                         require_connected=g.n + 1 == n_max):
-        if child.n < n_max:
+    for child, cells, ccres in _children(g, cres, require_connected=last):
+        if not last:
             if ccres is None:
                 ccres = canonicalize(child, _root=cells)
             grow.append((child, ccres))
-        if is_connected(child):
+        # a last-level child is connected: its new vertex meets every
+        # component of g
+        if last or is_connected(child):
             report.emit(child, ccres, sink, cells)
     return grow
 

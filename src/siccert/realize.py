@@ -46,22 +46,65 @@ class RealizationResult:
     restart_index: int
 
 
-def _objective(x: np.ndarray, n: int, d: int, edges, is_complex: bool):
+def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every edge in edge order, as index arrays: ends is
+    i₀, j₀, i₁, j₁, … and others is j₀, i₀, j₁, i₁, …, so row k of a
+    gathered array belongs to vertex ends[k] across from others[k]."""
+    ends = np.array(edges, dtype=np.intp).reshape(-1)
+    return ends, ends.reshape(-1, 2)[:, ::-1].ravel()
+
+
+def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
+               others: np.ndarray, is_complex: bool):
+    """f and its gradient over all edges at once, bit-identical to
+    summing edge by edge.
+
+    Every float result is the same IEEE operation on the same operands,
+    in the same order, as a loop over edges that takes s = ⟨v_i, v_j⟩,
+    adds |s|²/(n_i n_j) to f and adds to vertex i (and likewise j) the
+    term (s̄ v_j n_i − |s|² v_i)/(n_i n_i n_j), the quotient-rule form
+    of d|s|²/dv̄_i = s̄ v_j.  L-BFGS-B then takes the same steps, so
+    realize's residuals, vectors and restart choice stay the same to
+    the last byte.  That holds only under these rules:
+
+    - s is one np.vdot per edge.  It calls BLAS ddot/zdotc, which may
+      fuse multiply and add; no numpy reduction does the same.
+    - |s|² is float_power(|s|, 2.0), with |s| from np.abs in the real
+      field and np.hypot of its parts in the complex field: libm's
+      pow and hypot.  s ** 2, np.square and numpy's vectorized complex
+      abs differ from those in the last bit for some inputs.
+    - The per-endpoint terms are (2E, d) array expressions with their
+      operands in the order above; row 2k is edge k's term for its
+      first end, row 2k + 1 for its second.
+    - np.add.at adds the rows into the gradient one at a time in row
+      order, so each vertex gets its terms in edge order.  Fancy-index
+      += would drop repeated indices, and a reduction would reorder.
+    - f is summed left to right.  np.sum sums pairwise, and Python's
+      sum compensates from 3.12 on.
+    """
     if is_complex:
         m = x.reshape(n, 2 * d)
         v = m[:, :d] + 1j * m[:, d:]
     else:
         v = x.reshape(n, d)
     norms = np.einsum("ij,ij->i", v.conj(), v).real
-    grad_v = np.zeros_like(v)
+    rows = list(v)
+    s = np.array([np.vdot(rows[i], rows[j]) for i, j in edges], dtype=v.dtype)
+    if is_complex:
+        s2 = np.float_power(np.hypot(s.real, s.imag), 2.0)
+    else:
+        s2 = np.float_power(np.abs(s), 2.0)
+    n_end = norms[ends]
     f = 0.0
-    for i, j in edges:
-        s = np.vdot(v[i], v[j])
-        ni, nj = norms[i], norms[j]
-        f += abs(s) ** 2 / (ni * nj)
-        # d|s|²/dv̄_i = s̄ v_j; quotient rule against n_i n_j
-        grad_v[i] += (np.conj(s) * v[j] * ni - abs(s) ** 2 * v[i]) / (ni * ni * nj)
-        grad_v[j] += (s * v[i] * nj - abs(s) ** 2 * v[j]) / (nj * nj * ni)
+    for t in (s2 / (n_end[0::2] * n_end[1::2])).tolist():
+        f += t
+    # row k is the term of vertex ends[k], across from others[k]
+    s_end = np.stack([np.conj(s), s], axis=1).reshape(-1, 1)
+    s2_end = np.repeat(s2, 2)[:, None]
+    num = s_end * v[others] * n_end[:, None] - s2_end * v[ends]
+    terms = num / (n_end * n_end * norms[others])[:, None]
+    grad_v = np.zeros_like(v)
+    np.add.at(grad_v, ends, terms)
     if is_complex:
         g = np.concatenate([2 * grad_v.real, 2 * grad_v.imag], axis=1)
     else:
@@ -80,7 +123,7 @@ def objective_and_gradient(vectors: np.ndarray, g: Graph):
         x = np.concatenate([v.real, v.imag], axis=1).ravel()
     else:
         x = v.astype(float).ravel()
-    return _objective(x, n, d, edges, is_complex)
+    return _objective(x, n, d, edges, *_edge_ends(edges), is_complex)
 
 
 def _normalized_stats(v: np.ndarray, g: Graph):
@@ -145,7 +188,8 @@ def _one_restart(job):
     width = 2 * d if is_complex else d
     x0 = rng.normal(size=n * width)
     with _one_blas_thread():
-        res = minimize(_objective, x0, args=(n, d, edges, is_complex),
+        res = minimize(_objective, x0,
+                       args=(n, d, edges, *_edge_ends(edges), is_complex),
                        jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14})
     x = res.x

@@ -11,6 +11,7 @@ from siccert.coloring import chromatic_number, fractional_chromatic_number
 from siccert.enumeration import (
     THIRTEEN_CHI4_G6,
     YU_OH_G6,
+    _children,
     _compatible_sets,
     brute_force_enumerate,
     enumerate_square_free_connected,
@@ -213,6 +214,29 @@ class TestDegreeReject:
                 singletons += 1
                 assert canonicalize(g).order[-1] == last.bit_length() - 1
         assert singletons > 100
+
+
+class TestConnectedChildren:
+    """The premise of emitting last-level children in _expand without
+    a connectivity test."""
+
+    def test_required_connected_children_are_connected(self):
+        rng = random.Random(8)
+        disconnected_parents = children = disconnected_unfiltered = 0
+        for _ in range(300):
+            g = random_square_free(rng.randint(1, 11), rng)
+            disconnected_parents += not is_connected(g)
+            cres = canonicalize(g)
+            for child, _, _ in _children(g, cres, require_connected=True):
+                children += 1
+                assert is_connected(child)
+            disconnected_unfiltered += sum(
+                not is_connected(child)
+                for child, _, _ in _children(g, cres, require_connected=False))
+        assert disconnected_parents > 50
+        assert children > 200
+        # the filter, not the sample, keeps the children connected
+        assert disconnected_unfiltered > 200
 
 
 COUNTS_10 = {**COUNTS, 10: 3389}

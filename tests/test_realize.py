@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from siccert import realize
+from siccert import fixture_path, realize
+from siccert.enumeration import THIRTEEN_CHI4_G6
 from siccert.graphs import Graph, parse_graph6
 from siccert.realize import (
     find_realization,
@@ -18,6 +19,30 @@ YO_VECTORS = [
     (0, 1, -1), (0, 1, 1), (1, 0, -1), (1, 0, 1), (1, -1, 0), (1, 1, 0),
     (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
 ]
+
+
+# the edge-by-edge loop that realize._objective replaced, as it was
+def reference_objective(x: np.ndarray, n: int, d: int, edges, is_complex: bool):
+    if is_complex:
+        m = x.reshape(n, 2 * d)
+        v = m[:, :d] + 1j * m[:, d:]
+    else:
+        v = x.reshape(n, d)
+    norms = np.einsum("ij,ij->i", v.conj(), v).real
+    grad_v = np.zeros_like(v)
+    f = 0.0
+    for i, j in edges:
+        s = np.vdot(v[i], v[j])
+        ni, nj = norms[i], norms[j]
+        f += abs(s) ** 2 / (ni * nj)
+        # d|s|²/dv̄_i = s̄ v_j; quotient rule against n_i n_j
+        grad_v[i] += (np.conj(s) * v[j] * ni - abs(s) ** 2 * v[i]) / (ni * ni * nj)
+        grad_v[j] += (s * v[i] * nj - abs(s) ** 2 * v[j]) / (nj * nj * ni)
+    if is_complex:
+        g = np.concatenate([2 * grad_v.real, 2 * grad_v.imag], axis=1)
+    else:
+        g = 2 * grad_v.real
+    return f, g.ravel()
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -122,6 +147,31 @@ class TestBlasThreads:
 
 
 class TestObjective:
+    def test_matches_reference_loop(self):
+        # bit for bit: the search's iterates, and so its printed
+        # residuals and vectors, depend on every last bit of f and g
+        rng = np.random.default_rng(13)
+        inputs = edgeless = 0
+        for field in ("real", "complex"):
+            is_complex = field == "complex"
+            for _ in range(1600):
+                n = int(rng.integers(1, 17))
+                d = int(rng.integers(2, 6))
+                p = 0.0 if rng.random() < 0.1 else rng.random()
+                edges = list(random_graph(n, p, rng).edges())
+                width = 2 * d if is_complex else d
+                x = rng.normal(size=n * width) * 10.0 ** rng.uniform(-4, 4)
+                f_ref, g_ref = reference_objective(x, n, d, edges, is_complex)
+                f, g = realize._objective(x, n, d, edges,
+                                          *realize._edge_ends(edges),
+                                          is_complex)
+                assert f == f_ref, (field, n, d, edges)
+                assert g.tobytes() == g_ref.tobytes(), (field, n, d, edges)
+                inputs += 1
+                edgeless += not edges
+        assert inputs >= 3000
+        assert edgeless >= 200
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -177,6 +227,38 @@ class TestObjective:
             np.array([[1.0, 0, 0], [1.0, 1.0, 0], [0, 0, 1.0]]),
             Graph.complete(3))
         assert f2 > 0.4
+
+
+class TestSearchMatchesReference:
+    """find_realization takes the same steps with either objective."""
+
+    JOBS = ([(parse_graph6(s), "real") for s in THIRTEEN_CHI4_G6]
+            + [(parse_graph6(fixture_path("twelve_chi4.g6").read_text()
+                             .strip()), "real"),
+               (Graph.complete(4), "real"),
+               (YU_OH, "complex")]
+            + [(Graph.empty(n), field) for n in (1, 3)
+               for field in ("real", "complex")])
+
+    @staticmethod
+    def _digest(res):
+        return (res.status, repr(res.residual), res.vectors.tobytes(),
+                repr(res.min_pairwise_distinctness), res.restart_index)
+
+    def test_same_result_with_reference_objective(self, monkeypatch):
+        calls = [0]
+
+        def reference(x, n, d, edges, ends, others, is_complex):
+            calls[0] += 1
+            return reference_objective(x, n, d, edges, is_complex)
+
+        for k, (g, field) in enumerate(self.JOBS):
+            res = find_realization(g, 3, field=field, restarts=3, seed=k)
+            with monkeypatch.context() as mp:
+                mp.setattr(realize, "_objective", reference)
+                ref = find_realization(g, 3, field=field, restarts=3, seed=k)
+            assert self._digest(res) == self._digest(ref), (k, field)
+        assert calls[0] > 1000
 
 
 class TestVerify:
