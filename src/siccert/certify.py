@@ -23,7 +23,6 @@ from scipy.optimize import linprog
 from .canon import canonicalize
 from .coloring import fractional_chromatic_number
 from .exact import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Matrix,
@@ -31,7 +30,6 @@ from .exact import (
     Vector,
     format_gaussian,
     format_rational,
-    gm_identity,
     inner,
     nullspace,
     parse_gaussian,
@@ -462,21 +460,25 @@ def _obstruction_scan(s: ProjectorSet, g: Graph) -> Obstruction | None:
     return None
 
 
-def _exact_feasible(s: ProjectorSet, g: Graph,
-                    w: list[Fraction]) -> tuple[Fraction, PsdResult] | None:
-    """Exact check of both conditions; returns (y, psd) or None."""
-    if any(wi < 0 for wi in w):
-        return None
-    y = noncontextual_bound(g, w)
-    if not y < 1:
-        return None
-    m = s.weighted_sum(w)
-    ident = gm_identity(s.d)
-    diff = [[m[a][b] - ident[a][b] for b in range(s.d)] for a in range(s.d)]
-    res = psd_check_exact(diff)
-    if not res.psd:
-        return None
-    return y, res
+def _certified(s: ProjectorSet, g: Graph, w: list[Fraction],
+               rounds: int) -> SicCertificate | None:
+    """Exact check of both conditions on w, then on its orbit average
+    (built only if w fails): the SIC certificate of the first to pass."""
+    for average in (False, True):
+        cand = _orbit_average(g, w) if average else w
+        if any(wi < 0 for wi in cand):
+            continue
+        _, y = max_weight_independent_set(g, cand)
+        if not y < 1:
+            continue
+        diff = s.weighted_sum(cand)  # Σ w_i Π_i − 𝟙
+        for a in range(s.d):
+            diff[a][a] -= 1
+        psd = psd_check_exact(diff)
+        if psd.psd:
+            return SicCertificate("SIC", g, w=tuple(cand), y=y,
+                                  psd_witness=psd, rounds=rounds)
+    return None
 
 
 def _orbit_average(g: Graph, w: list[Fraction]) -> list[Fraction]:
@@ -493,59 +495,49 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
                 tol: float = 1e-8) -> SicCertificate:
     """Decide the two defining conditions for the projector set.
 
-    Exact sets: scan for structural obstructions (NOT_SIC), then try
-    exact weight candidates from the fractional-clique LP, then run
-    the floating cutting-plane loop and rationalize its answer.  Both
-    LPs add independent-set rows lazily from one oracle, the heaviest
-    maximal independent set, and never list all of them.  A SIC
-    verdict always carries exactly verified (w, y) and the PSD
-    factorization.  Numeric sets get the floating loop only, so their
-    best possible answer is UNDECIDED with diagnostics.
+    Numeric sets get the floating cutting-plane loop only, so their
+    best answer is UNDECIDED with diagnostics.  Exact sets are scanned
+    for obstructions (NOT_SIC), then climb one ladder of exact
+    candidates: the fractional-clique weights if χ_f > d, then the
+    cutting planes' weights rationalized at denominators 10³, 10⁶ and
+    10⁹, each followed by its orbit average.  The first to pass the
+    exact check of both conditions is the SIC certificate.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     g = orthogonality_graph(s, tol=tol)
+    if not s.exact:
+        _, rounds, lam, diag = _cutting_planes(s, g, max_rounds)
+        diag = diag or ("numeric input: cutting planes reached min "
+                        f"eigenvalue {lam:.2e}, but exact verification "
+                        "needs exact entries")
+        return SicCertificate("UNDECIDED", g, rounds=rounds, diagnostics=diag)
 
-    if s.exact:
-        obs = _obstruction_scan(s, g)
-        if obs is not None:
-            return SicCertificate("NOT_SIC", g, obstruction=obs,
-                                  diagnostics=obs.note)
+    obs = _obstruction_scan(s, g)
+    if obs is not None:
+        return SicCertificate("NOT_SIC", g, obstruction=obs,
+                              diagnostics=obs.note)
 
-    if s.exact:
-        fr = fractional_chromatic_number(g)
-        if fr.value > s.d:
-            scale = Fraction(s.d) / fr.value
-            raw = [wi * scale for wi in fr.weights]
-            for cand in (raw, _orbit_average(g, raw)):
-                hit = _exact_feasible(s, g, cand)
-                if hit is not None:
-                    y, psd = hit
-                    return SicCertificate("SIC", g, w=tuple(cand), y=y,
-                                          psd_witness=psd, rounds=0)
+    fr = fractional_chromatic_number(g)
+    if fr.value > s.d:
+        scale = Fraction(s.d) / fr.value
+        cert = _certified(s, g, [wi * scale for wi in fr.weights], 0)
+        if cert is not None:
+            return cert
 
     w_float, rounds, lam, diag = _cutting_planes(s, g, max_rounds)
     if w_float is None:
         return SicCertificate("UNDECIDED", g, rounds=rounds, diagnostics=diag)
-
-    if s.exact:
-        for denom in (10 ** 3, 10 ** 6, 10 ** 9):
-            cand = [rationalize(x, denom) for x in w_float]
-            for trial in (cand, _orbit_average(g, cand)):
-                hit = _exact_feasible(s, g, trial)
-                if hit is not None:
-                    y, psd = hit
-                    return SicCertificate("SIC", g, w=tuple(trial), y=y,
-                                          psd_witness=psd, rounds=rounds)
-        return SicCertificate(
-            "UNDECIDED", g, rounds=rounds,
-            diagnostics=f"numeric convergence (min eigenvalue {lam:.2e}) "
-                        "but exact verification failed on the "
-                        "rationalization ladder")
+    for denom in (10 ** 3, 10 ** 6, 10 ** 9):
+        cert = _certified(s, g, [rationalize(x, denom) for x in w_float],
+                          rounds)
+        if cert is not None:
+            return cert
     return SicCertificate(
         "UNDECIDED", g, rounds=rounds,
-        diagnostics="numeric input: cutting planes reached min eigenvalue "
-                    f"{lam:.2e}, but exact verification needs exact entries")
+        diagnostics=f"numeric convergence (min eigenvalue {lam:.2e}) "
+                    "but exact verification failed on the "
+                    "rationalization ladder")
 
 
 def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):

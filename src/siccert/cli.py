@@ -16,13 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from fractions import Fraction
 
 from .certify import (
-    AmbiguousOrthogonalityError,
-    DuplicateProjectorError,
     ProjectorSet,
-    VectorFileError,
     certify_sic,
     emit_inequality,
     parse_vector_file,
@@ -32,7 +28,6 @@ from .coloring import chromatic_number, fractional_chromatic_number
 from .enumeration import MAX_ENUM_N, enumerate_square_free_connected
 from .exact import format_gaussian, format_rational
 from .graphs import (
-    Graph6Error,
     cone,
     encode_graph6,
     is_connected,
@@ -47,9 +42,6 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_NEGATIVE = 3  # NOT_SIC / degenerate
 EXIT_UNDECIDED = 4  # UNDECIDED / failed
-
-_INPUT_ERRORS = (Graph6Error, VectorFileError, DuplicateProjectorError,
-                 AmbiguousOrthogonalityError, OSError)
 
 
 @contextlib.contextmanager
@@ -249,10 +241,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

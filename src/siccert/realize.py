@@ -18,7 +18,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siccert import fixture_path
-from siccert.canon import canonical_key
+from siccert.canon import canonical_key, canonicalize
 from siccert.certify import (
     AmbiguousOrthogonalityError,
     DuplicateProjectorError,
@@ -27,6 +27,7 @@ from siccert.certify import (
     quantum_value_floor,
     write_vector_file,
 )
+from siccert.coloring import fractional_chromatic_number
 from siccert.exact import GaussianRational, gm_quadratic_form, psd_reconstruct
 from siccert.graphs import Graph, parse_graph6
 
@@ -307,6 +308,71 @@ class TestCertifyYuOh:
         assert cert.w == (Fraction(9, 35),) * 9 + (Fraction(6, 35),) * 4
         assert noncontextual_bound(cert.graph, cert.w) == cert.y
         assert cert.psd_witness.psd
+
+    @staticmethod
+    def one_orbit_pair(g: Graph) -> tuple[int, int]:
+        orbit = next(m for m in canonicalize(g).orbits if m.bit_count() > 1)
+        a = (orbit & -orbit).bit_length() - 1
+        return a, orbit.bit_length() - 1
+
+    def test_orbit_averaged_fast_path(self, monkeypatch):
+        # ±eps on two vertices of one orbit makes the raw candidate's
+        # Σ w_i Π_i − 𝟙 = eps (Π_a − Π_b) indefinite; averaging over the
+        # orbit restores Yu–Oh's symmetric weights
+        import siccert.certify as certify_module
+        s = yu_oh()
+        fr = fractional_chromatic_number(orthogonality_graph(s))
+        a, b = self.one_orbit_pair(orthogonality_graph(s))
+        eps = Fraction(1, 100)
+        weights = list(fr.weights)
+        weights[a] += eps
+        weights[b] -= eps
+        monkeypatch.setattr(
+            certify_module, "fractional_chromatic_number",
+            lambda g: SimpleNamespace(value=fr.value, weights=weights))
+        cert = certify_sic(s)
+        assert cert.status == "SIC"
+        assert cert.rounds == 0
+        assert cert.y == Fraction(33, 35)
+        assert cert.w == (Fraction(9, 35),) * 9 + (Fraction(6, 35),) * 4
+        assert cert.psd_witness.psd
+
+    def test_orbit_averaged_rationalization(self, monkeypatch):
+        # the same perturbation on the cutting planes' float weights,
+        # with the chi_f fast path out of the way; with eps = 1/35 the
+        # 10³ rung rationalizes both perturbed weights exactly, so the
+        # orbit average is Yu–Oh's again
+        import siccert.certify as certify_module
+        s = yu_oh()
+        a, b = self.one_orbit_pair(orthogonality_graph(s))
+        real = certify_module._cutting_planes
+
+        def perturbed(*args):
+            w, rounds, lam, diag = real(*args)
+            w = w.copy()
+            w[a] += 1 / 35
+            w[b] -= 1 / 35
+            return w, rounds, lam, diag
+
+        monkeypatch.setattr(certify_module, "fractional_chromatic_number",
+                            lambda g: SimpleNamespace(value=Fraction(0)))
+        monkeypatch.setattr(certify_module, "_cutting_planes", perturbed)
+        cert = certify_sic(s)
+        assert cert.status == "SIC"
+        assert cert.rounds >= 1
+        assert cert.y == Fraction(33, 35)
+        assert cert.w == (Fraction(9, 35),) * 9 + (Fraction(6, 35),) * 4
+        assert cert.psd_witness.psd
+
+    def test_orbit_average_is_lazy(self, monkeypatch):
+        # the raw chi_f weights decide Yu–Oh, so no orbit is computed
+        import siccert.certify as certify_module
+        calls = []
+        real = certify_module.canonicalize
+        monkeypatch.setattr(certify_module, "canonicalize",
+                            lambda g: calls.append(1) or real(g))
+        assert certify_sic(yu_oh()).status == "SIC"
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_tol_rejected(self, tol):

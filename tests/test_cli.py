@@ -264,6 +264,19 @@ class TestOddInput:
                              str(fixture_path("yu_oh_d3.vec")))
         assert "tol must be positive and finite" in err
 
+    def test_parallel_rays(self, capsys, tmp_path):
+        f = tmp_path / "parallel.vec"
+        f.write_text("2\n1 0\n2 0\n")
+        err = self.quiet_run(capsys, "certify", str(f), "--exact")
+        assert "parallel" in err
+
+    def test_ambiguous_overlap(self, capsys, tmp_path):
+        f = tmp_path / "ambiguous.vec"
+        f.write_text("2\n1 0\n3e-8 1\n")
+        err = self.quiet_run(capsys, "certify", str(f), "--numeric",
+                             "--tol", "1e-8")
+        assert "ambiguous zone" in err
+
     def test_bad_enumerate_workers(self, capsys):
         err = self.quiet_run(capsys, "enumerate", "--max-n", "3",
                              "--workers", "0")

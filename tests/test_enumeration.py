@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from siccert import enumeration
+from siccert import enumeration, fixture_path
 from siccert.canon import canonical_key, canonicalize, equitable_partition
 from siccert.coloring import chromatic_number, fractional_chromatic_number
 from siccert.enumeration import (
@@ -149,6 +149,12 @@ class TestKnownThirteen:
             assert is_square_free(g)
             assert is_connected(g)
             assert chromatic_number(g).value == 4
+
+    def test_matches_fixture(self):
+        # the constant and the bundled fixture are two copies of the
+        # same eight classes, in the same order
+        text = fixture_path("thirteen_chi4.g6").read_text()
+        assert tuple(text.splitlines()) == THIRTEEN_CHI4_G6
 
     def test_chi_f_values(self):
         values = {}
