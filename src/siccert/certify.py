@@ -358,6 +358,8 @@ def quantum_value_floor(s: ProjectorSet, w) -> float:
 
 
 def _numeric_weighted_sum(s: ProjectorSet, w) -> np.ndarray:
+    if len(w) != s.n:
+        raise ValueError("weight count does not match vertex count")
     arr = s.numeric_vectors()
     m = np.zeros((s.d, s.d), dtype=complex)
     for i in range(s.n):

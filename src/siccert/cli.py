@@ -40,8 +40,12 @@ from .runner import check_workers
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
-EXIT_NEGATIVE = 3  # NOT_SIC / degenerate
-EXIT_UNDECIDED = 4  # UNDECIDED / failed
+EXIT_NEGATIVE = 3
+EXIT_UNDECIDED = 4
+_EXIT_CODE = {
+    "SIC": EXIT_OK, "NOT_SIC": EXIT_NEGATIVE, "UNDECIDED": EXIT_UNDECIDED,
+    "found": EXIT_OK, "degenerate": EXIT_NEGATIVE, "failed": EXIT_UNDECIDED,
+}
 
 
 @contextlib.contextmanager
@@ -125,21 +129,13 @@ def _print_certificate(cert) -> None:
         print(cert.diagnostics)
 
 
-def _certificate_exit(cert) -> int:
-    if cert.status == "SIC":
-        return EXIT_OK
-    if cert.status == "NOT_SIC":
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
-
-
 def cmd_certify(args) -> int:
     s = _load_projectors(args)
     cert = certify_sic(s, tol=args.tol)
     _print_certificate(cert)
     if cert.status == "SIC":
         print(emit_inequality(s, cert).render())
-    return _certificate_exit(cert)
+    return _EXIT_CODE[cert.status]
 
 
 def cmd_inequality(args) -> int:
@@ -149,7 +145,7 @@ def cmd_inequality(args) -> int:
         print(f"status {cert.status}")
         print("no inequality: certification did not produce SIC",
               file=sys.stderr)
-        return _certificate_exit(cert)
+        return _EXIT_CODE[cert.status]
     ineq = emit_inequality(s, cert)
     with _output(args.output) as out:
         print(ineq.render(), file=out)
@@ -170,10 +166,7 @@ def cmd_realize(args) -> int:
                                       [tuple(v) for v in res.vectors])
         with _output(args.output) as out:
             out.write(write_vector_file(s))
-        return EXIT_OK
-    if res.status == "degenerate":
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
+    return _EXIT_CODE[res.status]
 
 
 def _build_parser() -> argparse.ArgumentParser:

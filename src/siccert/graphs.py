@@ -362,6 +362,8 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, s: int) -> Graph:
     """Subgraph induced by the vertex bitmask s, relabeled 0..k-1."""
+    if s & ~g.vertex_mask():
+        raise ValueError("vertex mask names vertices outside the graph")
     verts = list(iter_bits(s))
     if not verts:
         raise ValueError("induced subgraph needs at least one vertex")

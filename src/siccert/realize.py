@@ -30,12 +30,12 @@ from .runner import check_workers, ordered_results
 
 @dataclass(frozen=True)
 class RealizationResult:
-    """Best run of the search.
+    """One restart's run, or the best of a search's runs.
 
     found: residual ≤ tol and all non-adjacent pairs distinct
     (min_pairwise_distinctness ≥ delta).  degenerate: residual ≤ tol
-    but two non-adjacent vertices landed on the same ray.  failed: no
-    restart reached residual ≤ tol; residual is then the minimum seen.
+    but two non-adjacent vertices landed on the same ray.  failed:
+    residual > tol (for the best run, the least of every restart's).
     """
 
     status: str  # "found" | "degenerate" | "failed"
@@ -51,6 +51,14 @@ def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
     gathered array belongs to vertex ends[k] across from others[k]."""
     ends = np.array(edges, dtype=np.intp).reshape(-1)
     return ends, ends.reshape(-1, 2)[:, ::-1].ravel()
+
+
+def _vectors(x: np.ndarray, n: int, d: int, is_complex: bool) -> np.ndarray:
+    """The n vectors in x, each d reals or d real then d imaginary parts."""
+    if is_complex:
+        m = x.reshape(n, 2 * d)
+        return m[:, :d] + 1j * m[:, d:]
+    return x.reshape(n, d)
 
 
 def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
@@ -81,11 +89,7 @@ def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
     - f is summed left to right.  np.sum sums pairwise, and Python's
       sum compensates from 3.12 on.
     """
-    if is_complex:
-        m = x.reshape(n, 2 * d)
-        v = m[:, :d] + 1j * m[:, d:]
-    else:
-        v = x.reshape(n, d)
+    v = _vectors(x, n, d, is_complex)
     norms = np.einsum("ij,ij->i", v.conj(), v).real
     rows = list(v)
     s = np.array([np.vdot(rows[i], rows[j]) for i, j in edges], dtype=v.dtype)
@@ -125,23 +129,6 @@ def objective_and_gradient(vectors: np.ndarray, g: Graph):
     return _objective(x, n, d, edges, *_edge_ends(edges), is_complex)
 
 
-def _normalized_stats(v: np.ndarray, g: Graph):
-    norms = np.linalg.norm(v, axis=1)
-    if np.min(norms) < 1e-12:
-        return None
-    u = v / norms[:, None]
-    ov = np.abs(u @ u.conj().T)
-    residual = 0.0
-    for i, j in g.edges():
-        residual += float(ov[i, j]) ** 2
-    mpd = 1.0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not g.has_edge(i, j):
-                mpd = min(mpd, 1.0 - float(ov[i, j]))
-    return u, residual, mpd
-
-
 @functools.cache
 def _scipy_openblas():
     """scipy's bundled OpenBLAS with its thread-count calls, or None."""
@@ -179,29 +166,42 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads(before)
 
 
-def _one_restart(job):
-    g, d, is_complex, seed, k = job
+def _one_restart(job) -> RealizationResult:
+    """Restart k: L-BFGS-B from a start drawn from seed + k, its vectors
+    normalized and the run classified against tol and delta.  A vector
+    that collapsed to zero fails the run with residual inf."""
+    g, d, is_complex, tol, delta, seed, k = job
     n = g.n
     edges = list(g.edges())
     rng = np.random.default_rng(seed + k)
-    width = 2 * d if is_complex else d
-    x0 = rng.normal(size=n * width)
+    x0 = rng.normal(size=n * (2 * d if is_complex else d))
     with _one_blas_thread():
         res = minimize(_objective, x0,
                        args=(n, d, edges, *_edge_ends(edges), is_complex),
                        jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14})
-    x = res.x
-    if is_complex:
-        m = x.reshape(n, 2 * d)
-        v = m[:, :d] + 1j * m[:, d:]
+    v = _vectors(res.x, n, d, is_complex)
+    norms = np.linalg.norm(v, axis=1)
+    if np.min(norms) < 1e-12:
+        return RealizationResult("failed", np.zeros((n, d)), math.inf, 0.0, k)
+    u = v / norms[:, None]
+    ov = np.abs(u @ u.conj().T)
+    residual = 0.0
+    for i, j in edges:
+        residual += float(ov[i, j]) ** 2
+    mpd = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g.has_edge(i, j):
+                mpd = min(mpd, 1.0 - float(ov[i, j]))
+    if residual <= tol:
+        status = "found" if mpd >= delta else "degenerate"
     else:
-        v = x.reshape(n, d)
-    stats = _normalized_stats(v, g)
-    if stats is None:
-        return k, None, float("inf"), 0.0
-    u, residual, mpd = stats
-    return k, u, residual, mpd
+        status = "failed"
+    return RealizationResult(status, u, residual, mpd, k)
+
+
+_RANK = {"found": 0, "degenerate": 1, "failed": 2}
 
 
 def find_realization(g: Graph, d: int, field: str = "real",
@@ -210,10 +210,11 @@ def find_realization(g: Graph, d: int, field: str = "real",
                      workers: int = 1) -> RealizationResult:
     """Search for a [d,1] orthogonal representation of g.
 
-    Restart k draws its start from seed + k, and the restarts are jobs
-    for ordered_results, so results come back in restart order and are
-    independent of the worker count.  The best run wins: found runs
-    beat degenerate ones, lower residual breaks ties, then lower
+    Restart k draws its start from seed + k and classifies its own run
+    (see _one_restart).  The restarts are jobs for ordered_results, so
+    results come back in restart order and are independent of the
+    worker count.  The best run is the least under one key: found
+    before degenerate before failed, then lower residual, then lower
     restart index.
     """
     if d < 2:
@@ -225,29 +226,10 @@ def find_realization(g: Graph, d: int, field: str = "real",
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
     check_workers(workers)
-    is_complex = field == "complex"
-    jobs = [(g, d, is_complex, seed, k) for k in range(restarts)]
-    runs = list(ordered_results(_one_restart, jobs, workers))
-
-    def rank(run):
-        k, u, residual, mpd = run
-        converged = residual <= tol
-        distinct = mpd >= delta
-        # found < degenerate < failed, then residual, then restart index
-        cls = 0 if converged and distinct else 1 if converged else 2
-        return cls, residual, k
-
-    best = min(runs, key=rank)
-    k, u, residual, mpd = best
-    if u is None:  # every restart collapsed a vector to zero
-        return RealizationResult("failed", np.zeros((g.n, d)),
-                                 float("inf"), 0.0, k)
-    if residual <= tol:
-        status = "found" if mpd >= delta else "degenerate"
-    else:
-        status = "failed"
-        residual = min(r[2] for r in runs)
-    return RealizationResult(status, u, residual, mpd, k)
+    jobs = [(g, d, field == "complex", tol, delta, seed, k)
+            for k in range(restarts)]
+    return min(ordered_results(_one_restart, jobs, workers),
+               key=lambda r: (_RANK[r.status], r.residual, r.restart_index))
 
 
 def verify_realization(g: Graph, vectors, exact: bool,

@@ -250,6 +250,17 @@ class TestBounds:
         assert abs(quantum_value_floor(s, [1, 1, 1]) - 1) < 1e-12
         assert abs(quantum_value_floor(s, [1, 1, 0])) < 1e-12
 
+    @pytest.mark.parametrize("count", [12, 14])
+    def test_quantum_value_weight_count(self, count):
+        s = yu_oh()
+        w = [1.0] * count
+        e1 = np.array([1.0, 0, 0])
+        message = "^weight count does not match vertex count$"
+        with pytest.raises(ValueError, match=message):
+            quantum_value(s, w, e1)
+        with pytest.raises(ValueError, match=message):
+            quantum_value_floor(s, w)
+
 
 class TestCertifyYuOh:
     def test_full_certificate(self):

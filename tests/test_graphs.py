@@ -374,3 +374,8 @@ class TestDerivedGraphs:
         g = Graph.cycle(5)
         h = induced_subgraph(g, 0b00111)  # path 0-1-2
         assert h.n == 3 and h.edge_count() == 2
+
+    @pytest.mark.parametrize("mask", [0b1000, 0b1111, -1])
+    def test_induced_outside_vertices(self, mask):
+        with pytest.raises(ValueError, match="outside the graph"):
+            induced_subgraph(Graph.path(3), mask)

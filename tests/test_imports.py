@@ -1,8 +1,12 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
-A stdlib-only lint: each module of the package except __init__.py (which
-imports to re-export) is parsed, and a name bound by an import statement
-that no other node of the module reads is reported."""
+Stdlib-only lints.  For imports, each module of the package except
+__init__.py (which imports to re-export) is parsed, and a name bound by
+an import statement that no other node of the module reads is reported.
+For private names, a function, class or constant defined at the top of
+any module under a name with one leading underscore is reported when no
+module of the package reads that name, bare or as an attribute."""
 
 import ast
 from pathlib import Path
@@ -11,8 +15,8 @@ import pytest
 
 import siccert
 
-MODULES = sorted(p for p in Path(siccert.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(siccert.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +44,48 @@ def test_lint_sees_an_unused_import():
            "import os.path\nfrom fractions import Fraction as F\n"
            "import math\nprint(math.pi, os.sep)\n")
     assert unused_imports(src) == ["line 3: F"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                                ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{module} line {node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_no_unread_private_name():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_lint_sees_an_unread_private_name():
+    sources = {
+        "a.py": ("def _called():\n    return _TABLE\n"
+                 "def _dead():\n    pass\n"
+                 "_TABLE = {}\n_LIMIT: int = 3\n__all__ = []\n"
+                 "class _Gone:\n    pass\n"),
+        "b.py": "from . import a\nprint(a._LIMIT, a._called())\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 3: _dead",
+                                             "a.py line 8: _Gone"]

@@ -1,7 +1,10 @@
 """Orthogonal-representation search and verification."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from siccert import fixture_path, realize
 from siccert.enumeration import THIRTEEN_CHI4_G6
@@ -111,6 +114,66 @@ class TestSearch:
                 find_realization(YU_OH, 3, delta=bad)
         with pytest.raises(ValueError, match="workers"):
             find_realization(YU_OH, 3, workers=0)
+
+
+class TestBestRestart:
+    """Restart k of a search from seed 0 is the one-restart search from
+    seed k, and the search returns the best of its restarts."""
+
+    RANK = {"found": 0, "degenerate": 1, "failed": 2}
+
+    @pytest.mark.parametrize("g, status", [(Graph.complete(4), "failed"),
+                                           (Graph.cycle(4), "degenerate")],
+                             ids=["K4", "C4"])
+    def test_best_single_restart(self, g, status):
+        res = find_realization(g, 3, restarts=6, seed=0)
+        singles = [find_realization(g, 3, restarts=1, seed=k) for k in range(6)]
+        k = min(range(6), key=lambda k: (self.RANK[singles[k].status],
+                                         singles[k].residual, k))
+        best = singles[k]
+        assert res.status == best.status == status
+        assert res.residual == best.residual
+        assert res.restart_index == k
+        assert res.vectors.tobytes() == best.vectors.tobytes()
+        if status == "failed":
+            assert res.residual == min(r.residual for r in singles)
+
+
+class TestCollapsedVector:
+    """A restart whose result has a zero vector fails with residual inf."""
+
+    @staticmethod
+    def _collapse(monkeypatch, restarts):
+        real = realize.minimize
+        calls = []
+
+        def fake(fun, x0, args, **kwargs):
+            calls.append(None)
+            if len(calls) - 1 not in restarts:
+                return real(fun, x0, args=args, **kwargs)
+            x = x0.copy()
+            x[:args[1]] = 0.0  # vertex 0, real field
+            return OptimizeResult(x=x)
+
+        monkeypatch.setattr(realize, "minimize", fake)
+
+    def test_every_restart_collapsed(self, monkeypatch):
+        self._collapse(monkeypatch, range(4))
+        res = find_realization(Graph.complete(4), 3, restarts=4)
+        assert res.status == "failed"
+        assert res.residual == math.inf
+        assert res.min_pairwise_distinctness == 0.0
+        assert res.vectors.tobytes() == np.zeros((4, 3)).tobytes()
+        assert res.restart_index == 0
+
+    @pytest.mark.parametrize("g", [Graph.complete(4), Graph.cycle(4), YU_OH],
+                             ids=["K4", "C4", "Yu-Oh"])
+    def test_collapsed_restart_never_chosen(self, monkeypatch, g):
+        self._collapse(monkeypatch, {0})
+        res = find_realization(g, 3, restarts=4)
+        assert res.restart_index != 0
+        assert math.isfinite(res.residual)
+        assert np.allclose(np.linalg.norm(res.vectors, axis=1), 1)
 
 
 class TestBlasThreads:
