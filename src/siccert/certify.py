@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,14 +25,15 @@ from scipy.optimize import linprog
 from .canon import canonicalize
 from .coloring import fractional_chromatic_number
 from .exact import (
-    GR_ZERO,
     GaussianRational,
+    IntegerRay,
     Matrix,
     PsdResult,
     Vector,
     format_gaussian,
     format_rational,
     inner,
+    integer_ray,
     nullspace,
     parse_gaussian,
     psd_check_exact,
@@ -106,18 +109,40 @@ class ProjectorSet:
                        dtype=complex)
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
-    def weighted_sum(self, w) -> Matrix:
-        """Σ w_i Π_i exactly (exact sets only)."""
+    @cached_property
+    def integer_rays(self) -> tuple[IntegerRay, ...]:
+        """Each exact ray scaled by the lcm of its denominators, as the int
+        tuples of its real and imaginary parts: the same projectors, in
+        Gaussian integers.  Built on first use (exact sets only)."""
         assert self.exact
-        out = [[GR_ZERO] * self.d for _ in range(self.d)]
-        for i, wi in enumerate(w):
-            if wi == 0:
-                continue
-            p = self.projector(i)
-            for a in range(self.d):
-                for b in range(self.d):
-                    out[a][b] = out[a][b] + wi * p[a][b]
-        return out
+        return tuple(integer_ray(v) for v in self.vectors)
+
+    def weighted_sum(self, w) -> Matrix:
+        """Σ w_i Π_i exactly (exact sets only).  With u_i the integer
+        ray, Π_i = u_i u_i†/‖u_i‖², so the sum is integer numerators
+        over D = lcm(den(w_i)·‖u_i‖²), divided by D at the end."""
+        if len(w) != self.n:
+            raise ValueError("weight count does not match vertex count")
+        terms = []
+        for wi, (re, im) in zip(w, self.integer_rays):
+            if wi:
+                p, q = wi.as_integer_ratio()
+                terms.append((p, q * (sum(map(mul, re, re))
+                                      + sum(map(mul, im, im))), re, im))
+        den = math.lcm(*(q for _, q, _, _ in terms))
+        d = self.d
+        sre = [[0] * d for _ in range(d)]
+        sim = [[0] * d for _ in range(d)]
+        for p, q, re, im in terms:
+            f = p * (den // q)
+            for a in range(d):
+                # f·u_a·conj(u_b), row a
+                fr, fi, ra, ia = f * re[a], f * im[a], sre[a], sim[a]
+                for b in range(d):
+                    ra[b] += fr * re[b] + fi * im[b]
+                    ia[b] += fi * re[b] - fr * im[b]
+        return [[GaussianRational(Fraction(x, den), Fraction(y, den))
+                 for x, y in zip(ra, ia)] for ra, ia in zip(sre, sim)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +278,20 @@ def orthogonality_graph(s: ProjectorSet, tol: float = 0.0) -> Graph:
     n = s.n
     rows = [0] * n
     if s.exact:
-        for i in range(n):
-            vi = s.vectors[i]
-            ni = inner(vi, vi)
+        rays = s.integer_rays
+        norms = [sum(map(mul, re, re)) + sum(map(mul, im, im))
+                 for re, im in rays]
+        for i, (ri, ii) in enumerate(rays):
             for j in range(i + 1, n):
-                vj = s.vectors[j]
-                ip = inner(vi, vj)
-                if not ip:
+                rj, ij = rays[j]
+                # ⟨u_i, u_j⟩ in Gaussian integers; |⟨u,v⟩|² = ‖u‖²‖v‖²
+                # (Cauchy-Schwarz with equality) iff u ∥ v, at any scale
+                re = sum(map(mul, ri, rj)) + sum(map(mul, ii, ij))
+                im = sum(map(mul, ri, ij)) - sum(map(mul, ii, rj))
+                if not (re or im):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-                elif ip.abs2() == ni.re * inner(vj, vj).re:
+                elif re * re + im * im == norms[i] * norms[j]:
                     raise DuplicateProjectorError(
                         f"vectors {i} and {j} are parallel")
     else:
@@ -324,15 +353,6 @@ def noncontextual_bound_sweep(g: Graph, w) -> Fraction:
         if best is None or acc > best:
             best = acc
     return Fraction(best, den)
-
-
-def evaluate_assignment(g: Graph, w, assignment: int) -> Fraction:
-    """Exact left side of the inequality for one 0/1 assignment."""
-    wf = [Fraction(x) for x in w]
-    acc = Fraction(0)
-    for v in iter_bits(assignment):
-        acc += wf[v] * (1 - (g.rows[v] & assignment).bit_count())
-    return acc
 
 
 def quantum_value(s: ProjectorSet, w, state: np.ndarray) -> float:

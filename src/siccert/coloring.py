@@ -10,6 +10,7 @@ a strong-duality certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,27 +137,26 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
         lp = LinearProgram((1,) * g.n, tuple(rows), (1,) * len(rows))
         res = lp_solve_exact(lp)
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
-        w = list(res.solution)
-
-        worst, weight = heaviest_maximal_independent_set(g, w)
-        if weight <= 1:
+        # the weights as int numerators over their lcm: a positive
+        # scale keeps the oracle's comparisons, ties and mask
+        den = math.lcm(*(x.denominator for x in res.solution))
+        nums = [x.numerator * (den // x.denominator) for x in res.solution]
+        worst, weight = heaviest_maximal_independent_set(g, nums)
+        if weight <= den:
             break
         assert worst not in working
         working.append(worst)
         rows.append(_indicator(worst, g.n))
 
-    tight = tuple(s for s in working if _set_weight(w, s) == 1)
+    tight = tuple(s for s in working
+                  if sum(nums[v] for v in iter_bits(s)) == den)
     cover = tuple((working[i], y) for i, y in enumerate(res.dual) if y != 0)
-    return FractionalResult(res.value, tuple(w), tight, cover)
+    return FractionalResult(res.value, res.solution, tight, cover)
 
 
 def _indicator(s: int, n: int) -> tuple[int, ...]:
     """The 0/1 row of the vertex set s."""
     return tuple(s >> v & 1 for v in range(n))
-
-
-def _set_weight(w: list[Fraction], s: int) -> Fraction:
-    return sum((w[v] for v in iter_bits(s)), Fraction(0))
 
 
 def chi_greater_than(g: Graph, d: int) -> bool:

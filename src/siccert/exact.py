@@ -2,16 +2,18 @@
 solver, and a positive-semidefiniteness test for Hermitian matrices.
 
 Everything here is tolerance-free.  Rationals are stdlib Fractions;
-complex entries are pairs of Fractions.  The LP solver pivots a
-condensed tableau (a row per basic and a column per nonbasic
-variable) by Bland's rule.  Each row is held as integer numerators
-over one positive integer denominator, so a pivot is integer
-arithmetic plus a gcd on the rows it changes (the fraction-free
-pivoting of Edmonds and Bareiss, with a denominator per row rather
-than one for the whole tableau).  The solver re-verifies its own
-optimality certificate in Fractions before returning; the PSD test
-produces a factorization or a counterexample vector that callers can
-replay.
+complex entries are pairs of Fractions.  The hot loops work on integer
+numerators over common denominators instead (the fraction-free
+elimination of Bareiss, Math. Comp. 22, 1968, and Edmonds).  The LP
+solver pivots a condensed tableau (a row per basic and a column per
+nonbasic variable) by Bland's rule.  Each row is held as integer
+numerators over one positive integer denominator, so a pivot is
+integer arithmetic plus a gcd on the rows it changes.  The solver
+re-verifies its own optimality certificate before returning, in
+integers: the solution over one denominator, the duals over another
+and the LP data over the lcm of its own denominators.  nullspace
+eliminates rows scaled to Gaussian integers.  The PSD test produces a
+factorization or a counterexample vector that callers can replay.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -27,10 +30,6 @@ from fractions import Fraction
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def rationalize(x: float, max_denominator: int) -> Fraction:
@@ -148,6 +147,7 @@ def parse_gaussian(s: str) -> GaussianRational:
 
 Matrix = list  # list[list[GaussianRational]]
 Vector = list  # list[GaussianRational]
+IntegerRay = tuple  # (re, im), each a tuple[int, ...]
 
 
 def gm_identity(d: int) -> Matrix:
@@ -179,26 +179,50 @@ def gm_quadratic_form(m: Matrix, x: Vector) -> GaussianRational:
     return acc
 
 
+def integer_ray(v: Vector) -> IntegerRay:
+    """v scaled by the lcm of its entries' denominators, a vector of
+    Gaussian integers: the int tuples of its real and imaginary parts."""
+    scale = math.lcm(*(x.re.denominator for x in v),
+                     *(x.im.denominator for x in v))
+    return (tuple(x.re.numerator * (scale // x.re.denominator) for x in v),
+            tuple(x.im.numerator * (scale // x.im.denominator) for x in v))
+
+
 def nullspace(rows: list[Vector], d: int) -> list[Vector]:
     """Basis of {x : row · x = 0 for every row}, plain (bilinear) products.
 
-    Gauss-Jordan over the Gaussian rationals.  Callers wanting
-    ⟨v, x⟩ = 0 should pass conjugated rows.
+    Gauss-Jordan on the rows scaled to Gaussian integers.  Clearing
+    column c of row i by the pivot row r is row_i·p − row_i[c]·row_r
+    (p the pivot), divided by the gcd of its parts, so each row stays a
+    nonzero multiple of its row in Gauss-Jordan over the Gaussian
+    rationals: the same pivots and the same reduced basis.
+    Callers wanting ⟨v, x⟩ = 0 should pass conjugated rows.
     """
-    mat = [list(r) for r in rows]
+    mat = [integer_ray(r) for r in rows]  # (re, im) rows
     pivots: list[int] = []
     r = 0
     for c in range(d):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        pr = next((i for i in range(r, len(mat))
+                   if mat[i][0][c] or mat[i][1][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = GR_ONE / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pre, pim = mat[r]
+        p, q = pre[c], pim[c]
+        for i, (re, im) in enumerate(mat):
+            f, g = re[c], im[c]
+            if i == r or not (f or g):
+                continue
+            # (re + i·im)(p + i·q) − (f + i·g)(pre + i·pim)
+            re, im = ([a * p - b * q - f * x + g * y
+                       for a, b, x, y in zip(re, im, pre, pim)],
+                      [a * q + b * p - f * y - g * x
+                       for a, b, x, y in zip(re, im, pre, pim)])
+            k = math.gcd(*re, *im)
+            if k > 1:
+                re = [a // k for a in re]
+                im = [b // k for b in im]
+            mat[i] = (re, im)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -208,8 +232,12 @@ def nullspace(rows: list[Vector], d: int) -> list[Vector]:
     for fc in free:
         vec = [GR_ZERO] * d
         vec[fc] = GR_ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
+        for (re, im), pc in zip(mat, pivots):
+            # −row[fc] / row[pc]
+            a, b, p, q = re[fc], im[fc], re[pc], im[pc]
+            n = p * p + q * q
+            vec[pc] = GaussianRational(Fraction(-(a * p + b * q), n),
+                                       Fraction(a * q - b * p, n))
         basis.append(vec)
     return basis
 
@@ -265,7 +293,8 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     Variables are numbered x_j = j, slack of row i = nv + i, artificial
     of row i = nv + m + i; Bland's rule compares these numbers, so the
     pivots are the full Fraction tableau's.  On "optimal" the primal
-    solution and the duals of the ≤ rows are re-verified in Fractions.
+    solution and the duals of the ≤ rows are re-verified exactly, on
+    integer numerators over common denominators.
     """
     nv, m = len(lp.objective), len(lp.rows)
     art = nv + m  # the first artificial's number
@@ -343,33 +372,54 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     if run(art) == "unbounded":  # phase 2 bars the artificials from entering
         return LpResult("unbounded")
 
-    at = {bv: Fraction(row[-1], d) for bv, row, d in zip(basis, tab, den)}
+    at = {bv: Fraction(row[-1], d)
+          for bv, row, d in zip(basis, tab, den) if bv < nv}
     x = [at.get(j, F0) for j in range(nv)]
-    value = sum((c * xi for c, xi in zip(lp.objective, x)), F0)
+    value = sum((lp.objective[j] * xj for j, xj in at.items()), F0)
     # dual of row i = reduced cost of its slack, 0 while basic (the sign
     # works out the same for negated rows, whose slack coefficient is -1)
-    reduced = {v: Fraction(t, den[m]) for v, t in zip(cols, tab[m])}
+    reduced = {v: Fraction(t, den[m])
+               for v, t in zip(cols, tab[m]) if nv <= v < art}
     y = [reduced.get(nv + i, F0) for i in range(m)]
     _verify_optimal(lp, x, value, y)
     return LpResult("optimal", value, tuple(x), tuple(y))
 
 
+def _numerators(values, scale: int) -> list[int]:
+    """Integer numerators of rationals (Fractions or ints) over scale, a
+    common multiple of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _verify_optimal(lp: LinearProgram, x, value, y):
-    for xi in x:
-        if xi < 0:
-            raise LpCertificateError("primal negativity")
-    for row, b in zip(lp.rows, lp.rhs):
-        if sum((a * xi for a, xi in zip(row, x)), Fraction(0)) > b:
+    """Primal and dual feasibility and a zero duality gap, exactly, in
+    integers: x over one denominator, y over another and the LP data
+    over the lcm of its own denominators."""
+    dx = math.lcm(*(xi.denominator for xi in x))
+    dy = math.lcm(*(yi.denominator for yi in y))
+    scale = math.lcm(*(c.denominator for c in lp.objective),
+                     *(a.denominator for row in lp.rows for a in row),
+                     *(b.denominator for b in lp.rhs))
+    xs = _numerators(x, dx)
+    ys = _numerators(y, dy)
+    rows = [_numerators(row, scale) for row in lp.rows]
+    rhs = _numerators(lp.rhs, scale)
+    if any(xi < 0 for xi in xs):
+        raise LpCertificateError("primal negativity")
+    for row, b in zip(rows, rhs):
+        if sum(map(mul, row, xs)) > b * dx:
             raise LpCertificateError("primal constraint violated")
-    for yi in y:
-        if yi < 0:
-            raise LpCertificateError("dual negativity")
-    for j in range(len(lp.objective)):
-        col = sum((y[i] * lp.rows[i][j] for i in range(len(y))), Fraction(0))
-        if col < lp.objective[j]:
+    if any(yi < 0 for yi in ys):
+        raise LpCertificateError("dual negativity")
+    col = [0] * len(lp.objective)
+    for yi, row in zip(ys, rows):
+        if yi:
+            col = [acc + yi * a for acc, a in zip(col, row)]
+    for cj, c in zip(col, _numerators(lp.objective, scale)):
+        if cj < c * dy:
             raise LpCertificateError("dual constraint violated")
-    dual_val = sum((yi * b for yi, b in zip(y, lp.rhs)), Fraction(0))
-    if dual_val != value:
+    dual_val = sum(map(mul, ys, rhs))
+    if dual_val * value.denominator != value.numerator * dy * scale:
         raise LpCertificateError("duality gap")
 
 

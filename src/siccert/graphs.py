@@ -231,13 +231,6 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def is_independent(g: Graph, s: int) -> bool:
-    for v in iter_bits(s):
-        if g.rows[v] & s:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # maximal independent sets
 # ---------------------------------------------------------------------------

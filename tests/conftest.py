@@ -1,6 +1,9 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines
 and echoes them in the terminal summary so they are visible even with
-output capture enabled."""
+output capture enabled, and holds the oracles that several test
+modules check against."""
+
+from siccert.exact import GR_ONE, GR_ZERO
 
 acceptance_lines: list[str] = []
 
@@ -10,6 +13,45 @@ def record_criterion(num: int, ok: bool, desc: str) -> bool:
     acceptance_lines.append(line)
     print(line)
     return ok
+
+
+def is_independent(g, s: int) -> bool:
+    """No edge of g inside the vertex mask s (a mask within the graph)."""
+    if s >> g.n:
+        raise ValueError("vertex mask names vertices outside the graph")
+    return all(not g.rows[v] & s for v in range(g.n) if s >> v & 1)
+
+
+def gauss_jordan_nullspace(rows, d: int) -> list:
+    """Basis of {x : row · x = 0} by Gauss-Jordan over the Gaussian
+    rationals, each row divided by its pivot: the reduced row echelon
+    form the integer-row nullspace must reproduce."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(d):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = GR_ONE / mat[r][c]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(d) if c not in pivots):
+        vec = [GR_ZERO] * d
+        vec[fc] = GR_ONE
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        basis.append(vec)
+    return basis
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gauss_jordan_nullspace
 from siccert import fixture_path
 from siccert.canon import canonical_key, canonicalize
 from siccert.certify import (
@@ -16,9 +17,9 @@ from siccert.certify import (
     DuplicateProjectorError,
     ProjectorSet,
     VectorFileError,
+    _kernel_excluding,
     certify_sic,
     emit_inequality,
-    evaluate_assignment,
     noncontextual_bound,
     noncontextual_bound_sweep,
     orthogonality_graph,
@@ -28,7 +29,12 @@ from siccert.certify import (
     write_vector_file,
 )
 from siccert.coloring import fractional_chromatic_number
-from siccert.exact import GaussianRational, gm_quadratic_form, psd_reconstruct
+from siccert.exact import (
+    GaussianRational,
+    gm_quadratic_form,
+    inner,
+    psd_reconstruct,
+)
 from siccert.graphs import Graph, parse_graph6
 
 YO_VECTORS = [
@@ -50,6 +56,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def evaluate_assignment(g: Graph, w, assignment: int) -> Fraction:
+    """Exact left side of the inequality for one 0/1 assignment."""
+    if len(w) != g.n or assignment >> g.n:
+        raise ValueError("weights or assignment do not fit the graph")
+    acc = Fraction(0)
+    for v in range(g.n):
+        if assignment >> v & 1:
+            acc += Fraction(w[v]) * (1 - (g.rows[v] & assignment).bit_count())
+    return acc
 
 
 class TestProjectorSet:
@@ -202,6 +219,106 @@ class TestOrthogonalityGraph:
         s = ProjectorSet.from_numeric(2, [(1.0, 1.0), (1.0 + 1e-12, 1.0)])
         with pytest.raises(DuplicateProjectorError):
             orthogonality_graph(s, tol=1e-8)
+
+
+@st.composite
+def scaled_sets(draw):
+    """Rays from a small set of Gaussian-integer directions, so that many
+    pairs are orthogonal and some parallel, each multiplied by a nonzero
+    Gaussian rational with non-unit denominators."""
+    d = draw(st.integers(2, 4))
+    unit = st.sampled_from([0, 0, 1, -1, 1j, -1j, 1 + 1j, 2])
+    base = st.lists(unit, min_size=d, max_size=d).filter(any)
+    part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
+    scale = st.builds(GaussianRational, part, part).filter(bool)
+    rays = draw(st.lists(st.tuples(base, scale), min_size=1, max_size=9))
+    return ProjectorSet.from_exact(d, [
+        [GaussianRational.of(x) * c for x in v] for v, c in rays])
+
+
+def reference_orthogonality(s: ProjectorSet) -> tuple[int, ...]:
+    """The orthogonality rows from Gaussian-rational inner products."""
+    rows = [0] * s.n
+    for i, vi in enumerate(s.vectors):
+        for j in range(i + 1, s.n):
+            vj = s.vectors[j]
+            ip = inner(vi, vj)
+            if not ip:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            elif ip.abs2() == inner(vi, vi).re * inner(vj, vj).re:
+                raise DuplicateProjectorError(
+                    f"vectors {i} and {j} are parallel")
+    return tuple(rows)
+
+
+class TestIntegerRays:
+    """Each integer path against its Gaussian-rational reference."""
+
+    def test_built_on_first_use(self):
+        s = parse_vector_file(fixture_path("yu_oh_d3.vec").read_text())
+        assert "integer_rays" not in vars(s)
+        orthogonality_graph(s)
+        assert vars(s)["integer_rays"] is s.integer_rays
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scaled_sets())
+    def test_rays_are_scaled_vectors(self, s):
+        for v, (re, im) in zip(s.vectors, s.integer_rays):
+            assert all(type(x) is int for x in re + im)
+            k = next(a for a, x in enumerate(v) if x)
+            c = GaussianRational(Fraction(re[k]), Fraction(im[k])) / v[k]
+            assert c.is_real() and c.re > 0
+            assert all(GaussianRational(Fraction(a), Fraction(b)) == c * x
+                       for a, b, x in zip(re, im, v))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(scaled_sets())
+    def test_orthogonality_graph(self, s):
+        try:
+            rows = reference_orthogonality(s)
+        except DuplicateProjectorError as exc:
+            with pytest.raises(DuplicateProjectorError, match=f"^{exc}$"):
+                orthogonality_graph(s)
+        else:
+            assert orthogonality_graph(s).rows == rows
+
+    def test_parallel_under_a_complex_rational_multiple(self):
+        v = (GaussianRational(Fraction(1, 2), Fraction(0)),
+             GaussianRational(Fraction(0), Fraction(1, 3)), 0)
+        c = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+        s = ProjectorSet.from_exact(3, [v, (0, 0, 1), [c * x for x in v]])
+        with pytest.raises(DuplicateProjectorError,
+                           match="^vectors 0 and 2 are parallel$"):
+            orthogonality_graph(s)
+        with pytest.raises(DuplicateProjectorError):
+            reference_orthogonality(s)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scaled_sets(), st.data())
+    def test_weighted_sum(self, s, data):
+        w = data.draw(st.lists(
+            st.builds(Fraction, st.integers(0, 5), st.integers(1, 40)),
+            min_size=s.n, max_size=s.n))
+        ref = [[GaussianRational.of(0)] * s.d for _ in range(s.d)]
+        for i, wi in enumerate(w):
+            p = s.projector(i)
+            ref = [[x + wi * y for x, y in zip(r, pr)]
+                   for r, pr in zip(ref, p)]
+        assert s.weighted_sum(w) == ref
+
+    def test_weighted_sum_needs_one_weight_per_ray(self):
+        with pytest.raises(ValueError):
+            yu_oh().weighted_sum([Fraction(1)] * 12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scaled_sets())
+    def test_obstruction_kernels(self, s):
+        for skip in range(-1, s.n):
+            rows = [[x.conjugate() for x in s.vectors[j]]
+                    for j in range(s.n) if j != skip]
+            assert _kernel_excluding(s, skip) == \
+                gauss_jordan_nullspace(rows, s.d)
 
 
 class TestBounds:

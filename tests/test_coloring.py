@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_independent
 from siccert.coloring import (
     chi_greater_than,
     chromatic_number,
@@ -19,7 +20,6 @@ from siccert.enumeration import THIRTEEN_CHI4_G6
 from siccert.graphs import (
     Graph,
     cone,
-    is_independent,
     maximal_independent_sets,
     parse_graph6,
 )

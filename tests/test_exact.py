@@ -8,13 +8,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import gauss_jordan_nullspace
 from siccert.exact import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     LinearProgram,
+    LpCertificateError,
     LpResult,
+    _verify_optimal,
     format_gaussian,
     format_rational,
     gm_is_hermitian,
@@ -23,11 +28,15 @@ from siccert.exact import (
     lp_solve_exact,
     nullspace,
     parse_gaussian,
-    parse_rational,
     psd_check_exact,
     psd_reconstruct,
     rationalize,
 )
+
+
+def parse_rational(s: str) -> Fraction:
+    """The reader of format_rational's "p/q" text."""
+    return Fraction(s.strip())
 
 
 class TestRationalFormat:
@@ -91,6 +100,12 @@ class TestGaussianRational:
         assert inner(u, v) == GaussianRational(Fraction(0), Fraction(-1))
 
 
+GAUSSIAN = st.builds(
+    lambda a, b, c, e: GaussianRational(Fraction(a, b), Fraction(c, e)),
+    st.integers(-3, 3), st.integers(1, 4), st.integers(-3, 3),
+    st.integers(1, 4))
+
+
 class TestNullspace:
     def test_dimensions(self):
         rng = random.Random(3)
@@ -115,6 +130,19 @@ class TestNullspace:
         rows = [[GR_ONE, GR_ONE, GR_ZERO]]
         basis = nullspace(rows, 3)
         assert len(basis) == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.lists(GAUSSIAN, min_size=d, max_size=d),
+                             max_size=d + 2))))
+    def test_equals_gauss_jordan(self, case):
+        # integer-row elimination against the Gaussian-rational RREF:
+        # the same basis, vector for vector and entry for entry
+        d, rows = case
+        if len(rows) > 2:  # a dependent row
+            rows[-1] = [a * GaussianRational(Fraction(1, 2), Fraction(1, 3))
+                        + b for a, b in zip(rows[0], rows[1])]
+        assert nullspace(rows, d) == gauss_jordan_nullspace(rows, d)
 
 
 def random_gaussian(rng: random.Random) -> GaussianRational:
@@ -246,6 +274,63 @@ class TestExactLp:
 # the same Bland pivots, so it must give the same digest
 LP_GOLDEN_SHA256 = \
     "19c9268ae719b0157e2d5f435b28db78ebc6813a21bf60b043e50cbb3f5a7194"
+
+
+# maximize 3/2 x0 + x1  s.t.  x0 + x1/2 <= 4,  x0/3 + x1 <= 7/2,
+# -x0 - x1 <= -1: Fraction entries and a negative right-hand side
+CERT_LP = LinearProgram(
+    (Fraction(3, 2), 1),
+    ((1, Fraction(1, 2)), (Fraction(1, 3), 1), (-1, -1)),
+    (4, Fraction(7, 2), -1))
+CERT_X = (Fraction(27, 10), Fraction(13, 5))
+CERT_VALUE = Fraction(133, 20)
+CERT_Y = (Fraction(7, 5), Fraction(3, 10), Fraction(0))
+# maximize -2/3 x0 - x1  s.t.  -x0/2 - x1 <= -3/4,  x0 <= 5/2: the
+# negative row binds, so its dual is nonzero
+BOUND_LP = LinearProgram(
+    (Fraction(-2, 3), -1), ((Fraction(-1, 2), -1), (1, 0)),
+    (Fraction(-3, 4), Fraction(5, 2)))
+
+
+class TestVerifyOptimal:
+    def test_solver_certificates(self):
+        assert lp_solve_exact(CERT_LP) == LpResult("optimal", CERT_VALUE,
+                                                   CERT_X, CERT_Y)
+        res = lp_solve_exact(BOUND_LP)
+        _verify_optimal(BOUND_LP, res.solution, res.value, res.dual)
+
+    @pytest.mark.parametrize("x, value, y, message", [
+        ((Fraction(27, 10), Fraction(-1, 10)), CERT_VALUE, CERT_Y,
+         "primal negativity"),
+        ((Fraction(27, 10), Fraction(14, 5)), CERT_VALUE, CERT_Y,
+         "primal constraint violated"),
+        (CERT_X, CERT_VALUE,
+         (Fraction(7, 5), Fraction(3, 10), Fraction(-1, 10)),
+         "dual negativity"),
+        (CERT_X, CERT_VALUE, (Fraction(7, 5), Fraction(1, 5), Fraction(0)),
+         "dual constraint violated"),
+        (CERT_X, CERT_VALUE + Fraction(1, 100), CERT_Y, "duality gap"),
+    ])
+    def test_each_corruption_raises(self, x, value, y, message):
+        _verify_optimal(CERT_LP, CERT_X, CERT_VALUE, CERT_Y)
+        with pytest.raises(LpCertificateError, match=f"^{message}$"):
+            _verify_optimal(CERT_LP, x, value, y)
+
+    def test_corruptions_with_a_binding_negative_row(self):
+        x, value = [Fraction(0), Fraction(3, 4)], Fraction(-3, 4)
+        y = [Fraction(1), Fraction(0)]
+        assert lp_solve_exact(BOUND_LP) == LpResult(
+            "optimal", value, tuple(x), tuple(y))
+        for xc, vc, yc, message in [
+                ([x[0], x[1] - Fraction(1, 7)], value, y,
+                 "primal constraint violated"),
+                (x, value, [y[0] + Fraction(1, 9), y[1]],
+                 "dual constraint violated"),
+                (x, value, [y[0] - Fraction(1, 9), Fraction(1, 6)],
+                 "duality gap"),
+                (x, value - Fraction(1, 6), y, "duality gap")]:
+            with pytest.raises(LpCertificateError, match=f"^{message}$"):
+                _verify_optimal(BOUND_LP, xc, vc, yc)
 
 
 def random_lps(seed: int, count: int):

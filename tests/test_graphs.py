@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_independent
 from siccert.graphs import (
     CapacityError,
     Graph,
@@ -15,7 +16,6 @@ from siccert.graphs import (
     heaviest_maximal_independent_set,
     induced_subgraph,
     is_connected,
-    is_independent,
     is_square_free,
     iter_bits,
     max_weight_independent_set,

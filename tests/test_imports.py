@@ -1,14 +1,20 @@
-"""Every name a module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a module imports is used in that module, every private
+module-level name is read somewhere in the package, and every public
+module-level function is exported or called.
 
 Stdlib-only lints.  For imports, each module of the package except
 __init__.py (which imports to re-export) is parsed, and a name bound by
 an import statement that no other node of the module reads is reported.
 For private names, a function, class or constant defined at the top of
 any module under a name with one leading underscore is reported when no
-module of the package reads that name, bare or as an attribute."""
+module of the package reads that name, bare or as an attribute.  For
+public functions, a function defined at the top of a module under a
+name without a leading underscore is reported when it is not in
+siccert.__all__ and no module of the package reads it outside its own
+body."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +95,64 @@ def test_lint_sees_an_unread_private_name():
     }
     assert unread_private_names(sources) == ["a.py line 3: _dead",
                                              "a.py line 8: _Gone"]
+
+
+# Public helpers kept without a caller in the package, each for a reason.
+UNCALLED_PUBLIC = {
+    "noncontextual_bound_sweep":
+        "the 2^n cross-check of noncontextual_bound, for a replayable "
+        "certificate checker to call",
+    "psd_reconstruct":
+        "rebuilds L·D·L† from a PSD witness, for a replayable certificate "
+        "checker to call",
+    "objective_and_gradient":
+        "the realize objective as a function of the vectors, kept for the "
+        "finite-difference gradient tests",
+}
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, bare or as an attribute."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def uncalled_public_functions(sources: dict[str, str],
+                              exported) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and node.name not in exported
+                    and read[node.name] == _reads(node)[node.name]):
+                uncalled.append(f"{module} line {node.lineno}: {node.name}")
+    return uncalled
+
+
+def test_no_uncalled_public_function():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    found = uncalled_public_functions(sources, siccert.__all__)
+    assert sorted(name.rsplit(": ", 1)[1] for name in found) == \
+        sorted(UNCALLED_PUBLIC)
+
+
+def test_lint_sees_an_uncalled_public_function():
+    sources = {
+        "a.py": ("def exported():\n    return helper()\n"
+                 "def helper():\n    return 1\n"
+                 "def recursive(k):\n    return recursive(k - 1)\n"
+                 "def planted():\n    pass\n"
+                 "def by_b():\n    pass\n"
+                 "def _private():\n    pass\n"),
+        "b.py": "from . import a\nprint(a.by_b())\n",
+    }
+    assert uncalled_public_functions(sources, ["exported"]) == [
+        "a.py line 5: recursive", "a.py line 7: planted"]
