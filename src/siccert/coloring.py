@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LinearProgram, lp_solve_exact
+from .exact import LinearProgram, _BlandPath, lp_solve_exact
 from .graphs import (
     Graph,
     heaviest_maximal_independent_set,
@@ -130,12 +130,20 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
     none weighs more than 1.  The final solution is therefore optimal
     for the full LP over all maximal independent sets, which are never
     enumerated.
+
+    Each round's LP is the last round's plus one row, all with rhs 1, so
+    each solve is handed the last solve's Bland path.  It replays the
+    pivots the two paths share instead of re-pivoting them from the
+    slack basis (see lp_solve_exact): every pivot, weight and dual is
+    the solve from scratch's, so Bland's rule picks the same optimal
+    vertex.  The path is dropped when this function returns.
     """
     working = maximal_set_per_vertex(g)
     rows = [_indicator(s, g.n) for s in working]
+    path = _BlandPath()  # each round's LP is the last one plus a row
     while True:
         lp = LinearProgram((1,) * g.n, tuple(rows), (1,) * len(rows))
-        res = lp_solve_exact(lp)
+        res = lp_solve_exact(lp, _path=path)
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
         # the weights as int numerators over their lcm: a positive
         # scale keeps the oracle's comparisons, ties and mask

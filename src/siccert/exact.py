@@ -11,8 +11,16 @@ numerators over one positive integer denominator, so a pivot is
 integer arithmetic plus a gcd on the rows it changes.  The solver
 re-verifies its own optimality certificate before returning, in
 integers: the solution over one denominator, the duals over another
-and the LP data over the lcm of its own denominators.  nullspace
-eliminates rows scaled to Gaussian integers.  The PSD test produces a
+and the LP data over the lcm of its own denominators.  A solve may be
+handed the Bland path of the same LP less its last row (χ_f's lazy row
+generation makes such sequences).  It then skips the prefix of that
+path it would repeat: until the new row first wins a ratio test it
+changes no entering or leaving choice, so it is carried through the
+recorded pivots and the run resumes from the recorded tableau with
+the row inserted, making every later pivot of a solve from scratch.
+This is not a warm start from the last optimal tableau, which could
+end on another optimal vertex.  nullspace eliminates rows scaled to
+Gaussian integers.  The PSD test produces a
 factorization or a counterexample vector that callers can replay.
 """
 
@@ -21,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from numbers import Rational
 from operator import mul
 
 
@@ -246,11 +256,15 @@ def nullspace(rows: list[Vector], d: int) -> list[Vector]:
 # linear programming: maximize c·x subject to Ax <= b, x >= 0
 # ---------------------------------------------------------------------------
 
+_INT_OR_FRACTION = frozenset((int, Fraction))
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0.
 
-    Entries may be Fractions or ints (make converts to Fractions)."""
+    Entries must be rationals: Fractions or ints (make converts floats
+    and strings to Fractions)."""
 
     objective: tuple[Fraction | int, ...]
     rows: tuple[tuple[Fraction | int, ...], ...]
@@ -263,6 +277,22 @@ class LinearProgram:
         for r in self.rows:
             if len(r) != nv:
                 raise ValueError("constraint row has wrong variable count")
+        # one pass over the entries' types; only an LP with some entry
+        # not an int or Fraction is searched entry by entry
+        if not _INT_OR_FRACTION.issuperset(
+                map(type, chain(self.objective, *self.rows, self.rhs))):
+            self._reject_non_rational()
+
+    def _reject_non_rational(self):
+        entries = chain(
+            ((f"objective[{j}]", v) for j, v in enumerate(self.objective)),
+            ((f"rows[{i}][{j}]", v) for i, row in enumerate(self.rows)
+             for j, v in enumerate(row)),
+            ((f"rhs[{i}]", v) for i, v in enumerate(self.rhs)))
+        for where, v in entries:
+            if not isinstance(v, Rational):
+                raise TypeError(f"LinearProgram {where} must be rational "
+                                f"(an int or Fraction), not {type(v).__name__}")
 
     @staticmethod
     def make(objective, rows, rhs) -> "LinearProgram":
@@ -285,7 +315,25 @@ class LpCertificateError(AssertionError):
     """The solver's own optimality certificate failed re-verification."""
 
 
-def lp_solve_exact(lp: LinearProgram) -> LpResult:
+class _BlandPath:
+    """One solve's Bland path, kept for the next solve to replay: its LP,
+    the tableau (rows, row denominators, basis, nonbasic columns) before
+    each pivot and after the last, and each pivot's (row, column).
+
+    Recorded only for an LP with no negative rhs, which has no phase 1.
+    A recorded tableau shares its row lists with the live one, so no
+    row list is changed once it is built."""
+
+    __slots__ = ("lp", "states", "steps")
+
+    def __init__(self):
+        self.lp: LinearProgram | None = None
+        self.states: list = []
+        self.steps: list[tuple[int, int]] = []
+
+
+def lp_solve_exact(lp: LinearProgram, *,
+                   _path: _BlandPath | None = None) -> LpResult:
     """Two-phase simplex with Bland's rule on a condensed tableau: a row
     per basic variable (int numerators over one positive int row
     denominator) and a column per nonbasic one plus the right-hand side.
@@ -295,6 +343,15 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     pivots are the full Fraction tableau's.  On "optimal" the primal
     solution and the duals of the ≤ rows are re-verified exactly, on
     integer numerators over common denominators.
+
+    _path is private to χ_f's row generation, which solves a sequence
+    of LPs each one row longer than the last.  The solve records its
+    Bland path there.  When the recorded LP is this one minus its last
+    row and no rhs is negative, the solve does not re-pivot the prefix
+    of that path it would repeat: _replay carries the new row through
+    the recorded pivots to the first one it would change, and the run
+    resumes from the tableau recorded there.  The pivots, the result
+    and its verification are those of a solve from scratch.
     """
     nv, m = len(lp.objective), len(lp.rows)
     art = nv + m  # the first artificial's number
@@ -303,35 +360,43 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     # a row with negative rhs is negated: its slack (coefficient -1)
     # starts nonbasic and an artificial starts basic in its place
     neg = [i for i in range(m) if lp.rhs[i] < 0]
-    cols = list(range(nv)) + [nv + i for i in neg]
-    basis: list[int] = []
-    rat = []  # the rows as Fractions and ints, before scaling
-    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        sgn = -1 if b < 0 else 1
-        slacks = [-1 if k == i else 0 for k in neg]
-        rat.append([sgn * a for a in row] + slacks + [sgn * b])
-        basis.append(art + i if b < 0 else nv + i)
-    # objective rows hold reduced costs (z_j - c_j); the phase-2 row
-    # maximizes the objective, the phase-1 row -sum(artificials)
-    rat.append([-c for c in lp.objective] + [0] * (len(neg) + 1))
-    if neg:
-        rat.append([-sum(col) for col in zip(*(rat[i] for i in neg))])
-    den = [math.lcm(*(v.denominator for v in r)) for r in rat]  # rows in lowest terms
-    tab = [[v.numerator * (d // v.denominator) for v in r] for r, d in zip(rat, den)]
+    record = _path is not None and not neg
+    prev = _path.lp if record else None
+    if (prev is not None and len(prev.rows) == m - 1
+            and prev.objective == lp.objective
+            and prev.rows == lp.rows[:-1] and prev.rhs == lp.rhs[:-1]):
+        states, (tab, den, basis, cols) = _replay(
+            _path, _integer_row([*lp.rows[-1], lp.rhs[-1]]), art - 1)
+        steps = _path.steps[:len(states)]
+    else:
+        cols = list(range(nv)) + [nv + i for i in neg]
+        basis: list[int] = []
+        rat = []  # the rows as Fractions and ints, before scaling
+        for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+            sgn = -1 if b < 0 else 1
+            slacks = [-1 if k == i else 0 for k in neg]
+            rat.append([sgn * a for a in row] + slacks + [sgn * b])
+            basis.append(art + i if b < 0 else nv + i)
+        # objective rows hold reduced costs (z_j - c_j); the phase-2 row
+        # maximizes the objective, the phase-1 row -sum(artificials)
+        rat.append([-c for c in lp.objective] + [0] * (len(neg) + 1))
+        if neg:
+            rat.append([-sum(col) for col in zip(*(rat[i] for i in neg))])
+        tab, den = map(list, zip(*map(_integer_row, rat)))
+        states, steps = [], []
 
     def pivot(r: int, c: int):
-        # row r goes over its entry p in c, with d_r in c and p's sign moved
-        # into the row; then row_i -> (row_i·p - row_i[c]·row_r) / (d_i·p)
-        p, tab[r][c] = tab[r][c], den[r]
-        prow = tab[r] = [v if p > 0 else -v for v in tab[r]]
+        # row r goes over its entry p in c, with d_r in c and p's sign
+        # moved into the row; the other rows are cleared in c by it
+        p = tab[r][c]
+        sign = 1 if p > 0 else -1
+        prow = [sign * v for v in tab[r]]
+        prow[c] = sign * den[r]
+        tab[r] = prow
         p = den[r] = abs(p)
         for i, row in enumerate(tab):
-            f = row[c]
-            if i != r and f:
-                row[c] = 0  # the leaving variable's unit column
-                row = [v * p - f * q for v, q in zip(row, prow)]
-                g = math.gcd(den[i] * p, *row)
-                tab[i], den[i] = [v // g for v in row], den[i] * p // g
+            if i != r and row[c]:
+                tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
         basis[r], cols[c] = cols[c], basis[r]
 
     def lowest(js):
@@ -343,6 +408,8 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         # negative reduced cost; leaving = minimum ratio rhs_i/a_i, ties
         # by lowest-numbered basic variable.
         while True:
+            if record:
+                states.append((tab[:], den[:], basis[:], cols[:]))
             obj = tab[-1]
             enter = lowest(j for j, v in enumerate(cols) if v < limit and obj[j] < 0)
             if enter is None:
@@ -352,6 +419,8 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
                 return "unbounded"
             s = math.lcm(*(tab[i][enter] for i in pos))  # each ratio·s is an int
             leave = min(pos, key=lambda i: (tab[i][-1] * s // tab[i][enter], basis[i]))
+            if record:
+                steps.append((leave, enter))
             pivot(leave, enter)
 
     if neg:
@@ -369,7 +438,10 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
             if basis[r] >= art:
                 pivot(r, lowest(j for j, v in enumerate(cols) if v < art and tab[r][j]))
 
-    if run(art) == "unbounded":  # phase 2 bars the artificials from entering
+    status = run(art)  # phase 2 bars the artificials from entering
+    if record:
+        _path.lp, _path.states, _path.steps = lp, states, steps
+    if status == "unbounded":
         return LpResult("unbounded")
 
     at = {bv: Fraction(row[-1], d)
@@ -383,6 +455,56 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     y = [reduced.get(nv + i, F0) for i in range(m)]
     _verify_optimal(lp, x, value, y)
     return LpResult("optimal", value, tuple(x), tuple(y))
+
+
+def _integer_row(values) -> tuple[list[int], int]:
+    """A row of rationals as int numerators over its lowest common
+    denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _eliminate(row: list[int], d: int, prow: list[int], p: int, c: int):
+    """row (over d) with column c cleared by the pivot row prow (over p)
+    and the leaving variable's unit column put in c: the new row list
+    (row·p − row[c]·prow) / g over d·p / g, g the gcd of its parts."""
+    f = row[c]
+    new = [v * p - f * q for v, q in zip(row, prow)]
+    new[c] -= f * p  # as if row[c] were 0: the entry is −f·prow[c]
+    g = math.gcd(d * p, *new)
+    return [v // g for v in new], d * p // g
+
+
+def _replay(path: _BlandPath, row: tuple[list[int], int], slack: int):
+    """Where a solve of path.lp plus the appended row would leave
+    path's recorded pivots, and its tableaus up to there.
+
+    Bland's entering choice reads only the objective row, and a pivot
+    changes that row through the pivot row alone, so the new row
+    changes nothing until it first wins a ratio test.  Its slack is the
+    highest-numbered variable, so it loses every ratio tie, and wins
+    only on a strictly smaller ratio rhs/a; both rows' denominators
+    cancel in the cross-multiplied comparison.  The row (its numerators
+    and denominator) is carried through each recorded pivot by the same
+    _eliminate a solve from scratch applies to it.  Returns the
+    tableaus before each pivot shared with the new path, and the
+    tableau before the first pivot that is not (or after the last) with
+    the carried row inserted before the objective row: that is the
+    tableau a solve from scratch reaches there."""
+    nums, d = row
+    shared = []
+    for (r, c), (tab, den, basis, cols), after in zip(
+            path.steps, path.states, path.states[1:]):
+        a = nums[c]
+        if a > 0 and nums[-1] * tab[r][c] < tab[r][-1] * a:
+            break
+        shared.append((tab[:-1] + [nums] + tab[-1:], den[:-1] + [d] + den[-1:],
+                       basis + [slack], cols))
+        if a:
+            nums, d = _eliminate(nums, d, after[0][r], after[1][r], c)
+    tab, den, basis, cols = path.states[len(shared)]
+    return shared, (tab[:-1] + [nums] + tab[-1:], den[:-1] + [d] + den[-1:],
+                    basis + [slack], cols[:])
 
 
 def _numerators(values, scale: int) -> list[int]:

@@ -102,7 +102,9 @@ def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
     for t in (s2 / (n_end[0::2] * n_end[1::2])).tolist():
         f += t
     # row k is the term of vertex ends[k], across from others[k]
-    s_end = np.stack([np.conj(s), s], axis=1).reshape(-1, 1)
+    s_end = np.empty((2 * len(s), 1), dtype=s.dtype)
+    s_end[0::2, 0] = s.conj()
+    s_end[1::2, 0] = s
     s2_end = np.repeat(s2, 2)[:, None]
     num = s_end * v[others] * n_end[:, None] - s2_end * v[ends]
     terms = num / (n_end * n_end * norms[others])[:, None]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from siccert.exact import (
     LinearProgram,
     LpCertificateError,
     LpResult,
+    _BlandPath,
     _verify_optimal,
     format_gaussian,
     format_rational,
@@ -261,6 +263,19 @@ class TestExactLp:
             else:
                 assert ref.status == 3
         assert agree > 20  # the sample genuinely exercises the solver
+
+    @pytest.mark.parametrize("bad", [1.5, None, "1", 1j])
+    def test_non_rational_entries_rejected(self, bad):
+        for args, where in [
+                (((bad, 1), ((1, 0),), (1,)), "objective[0]"),
+                (((1, 1), ((1, 0), (0, bad)), (1, 1)), "rows[1][1]"),
+                (((1,), ((1,), (2,)), (1, bad)), "rhs[1]")]:
+            with pytest.raises(TypeError, match=rf"^LinearProgram {re.escape(where)} "
+                               rf"must be rational .*, not {type(bad).__name__}$"):
+                LinearProgram(*args)
+        # rationals of every type pass, and make still converts
+        LinearProgram((True, Fraction(1, 2)), ((np.int64(1), 0),), (1,))
+        assert LinearProgram.make([0.5], [["1/3"]], [1]).rows == ((Fraction(1, 3),),)
 
     def test_make_validates(self):
         with pytest.raises(ValueError):
@@ -539,9 +554,10 @@ def fraction_lp_solve(lp: LinearProgram, pivots: list, stats: Counter):
     return LpResult("optimal", value, tuple(x), tuple(y))
 
 
-def solve_recording_pivots(lp: LinearProgram):
-    """lp_solve_exact's result and its pivots as (entering, leaving),
-    read from the arguments of each call to its inner pivot function."""
+def solve_recording_pivots(lp: LinearProgram, path: _BlandPath | None = None):
+    """lp_solve_exact's result and the pivots it performs as (entering,
+    leaving), read from the arguments of each call to its inner pivot
+    function; path is passed on as its private _path."""
     pivots = []
 
     def watch(frame, event, arg):
@@ -554,7 +570,7 @@ def solve_recording_pivots(lp: LinearProgram):
     previous = sys.getprofile()
     sys.setprofile(watch)
     try:
-        res = lp_solve_exact(lp)
+        res = lp_solve_exact(lp, _path=path)
     finally:
         sys.setprofile(previous)
     return res, pivots
@@ -608,3 +624,144 @@ def test_pivots_match_fraction_reference():
     assert stats["drive-outs"] >= 100, stats
     assert stats["artificial enters"] >= 15, stats
     assert stats["ratio ties"] >= 300, stats
+
+
+# ---------------------------------------------------------------------------
+# a solve that replays the Bland path of the LP one row shorter
+# ---------------------------------------------------------------------------
+
+def grown_lp_sequences(seed: int, count: int):
+    """Seeded sequences of LPs with no negative rhs, each LP the one
+    before it plus one row: new random rows (some the last optimum
+    violates, some it meets), scaled copies of earlier rows (ratio
+    ties) and zero right-hand sides.  Objectives of both signs, so some
+    LPs are unbounded until a later row bounds them."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.choice((0, 0, 1, 1, 2, -1, 3)), rng.choice((1, 1, 2, 3)))
+
+    for _ in range(count):
+        nv = rng.randint(1, 5)
+        objective = [q() for _ in range(nv)]
+        rows, rhs, seq = [], [], []
+        for _ in range(rng.randint(2, 7)):
+            if rows and rng.random() < 0.25:
+                k = rng.randrange(len(rows))
+                s = Fraction(rng.choice((1, 1, 2, 3)), rng.choice((1, 2)))
+                rows.append([s * a for a in rows[k]])
+                rhs.append(s * rhs[k])
+            else:
+                rows.append([q() for _ in range(nv)])
+                rhs.append(Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.choice((1, 2))))
+            seq.append(LinearProgram.make(objective, rows, rhs))
+        yield seq
+
+
+def check_grown_sequence(seq, stats: Counter, reference=None):
+    """Solve seq in order through one _BlandPath.  Each result must be
+    the reference's (fraction_lp_solve by default), and the recorded
+    pivots the solve replayed, followed by those it performed, must be
+    the reference's pivots."""
+    path = _BlandPath()
+    before = None  # the last result
+    for lp in seq:
+        ref_pivots = []
+        if reference is None:
+            ref = fraction_lp_solve(lp, ref_pivots, Counter())
+        else:
+            ref, ref_pivots = reference(lp)
+        states, steps = path.states, path.steps
+        res, performed = solve_recording_pivots(lp, path)
+        assert res == ref
+        t = len(ref_pivots) - len(performed)
+        replayed = [(states[k][3][c], states[k][2][r])
+                    for k, (r, c) in enumerate(steps[:t])]
+        assert len(replayed) == t
+        assert replayed + performed == ref_pivots
+        # the path now recorded is the reference's, pivot for pivot
+        assert [(st[3][c], st[2][r]) for st, (r, c)
+                in zip(path.states, path.steps)] == ref_pivots
+        if steps:
+            stats["replayed in full" if not performed else
+                  "diverged at step 0" if t == 0 else "diverged later"] += 1
+        if before is not None and before.status == "unbounded":
+            stats["after unbounded"] += 1
+        if before is not None and before.status == "optimal":
+            x, row, b = before.solution, lp.rows[-1], lp.rhs[-1]
+            stats["violated" if sum(a * xi for a, xi in zip(row, x)) > b
+                  else "met"] += 1
+        stats[res.status] += 1
+        stats["replayed pivots"] += t
+        stats["pivots"] += len(ref_pivots)
+        before = res
+
+
+def test_grown_lps_replay_the_reference_path():
+    stats = Counter()
+    for seq in grown_lp_sequences(40, 300):
+        check_grown_sequence(seq, stats)
+    # the sample reaches every case the replay distinguishes
+    for case in ("replayed in full", "diverged at step 0", "diverged later",
+                 "violated", "met", "optimal", "unbounded", "after unbounded"):
+        assert stats[case] >= 40, stats
+    assert stats["replayed pivots"] >= stats["pivots"] // 4, stats
+
+
+def test_grown_lp_ratio_tie_and_zero_rhs():
+    # the new row ties the recorded winner's ratio 1/1 at the first
+    # pivot and loses the tie to the lower-numbered basic variable; at
+    # zero rhs it has the strictly smaller ratio 0 and wins there
+    first = LinearProgram((1, 1), ((1, 0), (0, 1)), (1, 1))
+    stats = Counter()
+    for b in (1, 0):
+        check_grown_sequence(
+            [first, LinearProgram((1, 1), ((1, 0), (0, 1), (1, 0)), (1, 1, b))],
+            stats)
+    assert stats == Counter({"replayed in full": 1, "diverged at step 0": 1,
+                             "met": 1, "violated": 1, "optimal": 4,
+                             "replayed pivots": 2, "pivots": 8})
+
+
+def chi_f_lp_sequences(graphs):
+    """The LPs fractional_chromatic_number solves for each graph, in order."""
+    from siccert import coloring
+
+    seqs = []
+    solve = coloring.lp_solve_exact
+
+    def spy(lp, **kwargs):
+        seqs[-1].append(lp)
+        return solve(lp, **kwargs)
+
+    coloring.lp_solve_exact = spy
+    try:
+        for g in graphs:
+            seqs.append([])
+            coloring.fractional_chromatic_number(g)
+    finally:
+        coloring.lp_solve_exact = solve
+    return seqs
+
+
+def test_chi_f_sequences_replay_the_reference_path():
+    from siccert.enumeration import THIRTEEN_CHI4_G6
+    from siccert.graphs import Graph, parse_graph6
+
+    rng = random.Random(41)
+    graphs = [parse_graph6(s) for s in THIRTEEN_CHI4_G6]
+    for _ in range(30):
+        n = rng.randint(5, 10)
+        p = rng.random()
+        graphs.append(Graph.from_edges(n, [(i, j) for i in range(n)
+                                           for j in range(i + 1, n)
+                                           if rng.random() < p]))
+    stats = Counter()
+    seqs = chi_f_lp_sequences(graphs)
+    for k, seq in enumerate(seqs):
+        # the thirteen-vertex LPs against the integer solve from
+        # scratch, which test_pivots_match_fraction_reference pins to
+        # the Fraction reference; the smaller ones against it directly
+        check_grown_sequence(seq, stats, solve_recording_pivots if k < 8 else None)
+    assert sum(map(len, seqs[:8])) >= 80
+    assert stats["replayed pivots"] >= stats["pivots"] // 2, stats
