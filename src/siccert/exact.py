@@ -20,8 +20,8 @@ recorded pivots and the run resumes from the recorded tableau with
 the row inserted, making every later pivot of a solve from scratch.
 This is not a warm start from the last optimal tableau, which could
 end on another optimal vertex.  nullspace eliminates rows scaled to
-Gaussian integers.  The PSD test produces a
-factorization or a counterexample vector that callers can replay.
+Gaussian integers.  The PSD test produces a factorization or a
+counterexample vector that callers can replay.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ def lp_solve_exact(lp: LinearProgram, *,
     at = {bv: Fraction(row[-1], d)
           for bv, row, d in zip(basis, tab, den) if bv < nv}
     x = [at.get(j, F0) for j in range(nv)]
-    value = sum((lp.objective[j] * xj for j, xj in at.items()), F0)
+    value = Fraction(tab[m][-1], den[m])  # the objective row holds c·x
     # dual of row i = reduced cost of its slack, 0 while basic (the sign
     # works out the same for negated rows, whose slack coefficient is -1)
     reduced = {v: Fraction(t, den[m])
@@ -472,7 +472,9 @@ def _eliminate(row: list[int], d: int, prow: list[int], p: int, c: int):
     new = [v * p - f * q for v, q in zip(row, prow)]
     new[c] -= f * p  # as if row[c] were 0: the entry is −f·prow[c]
     g = math.gcd(d * p, *new)
-    return [v // g for v in new], d * p // g
+    if g > 1:
+        new = [v // g for v in new]
+    return new, d * p // g
 
 
 def _replay(path: _BlandPath, row: tuple[list[int], int], slack: int):
@@ -492,19 +494,21 @@ def _replay(path: _BlandPath, row: tuple[list[int], int], slack: int):
     the carried row inserted before the objective row: that is the
     tableau a solve from scratch reaches there."""
     nums, d = row
+
+    def with_row(tab, den, basis, cols):
+        return (tab[:-1] + [nums] + tab[-1:], den[:-1] + [d] + den[-1:],
+                basis + [slack], cols[:])
+
     shared = []
-    for (r, c), (tab, den, basis, cols), after in zip(
-            path.steps, path.states, path.states[1:]):
+    for (r, c), state, after in zip(path.steps, path.states, path.states[1:]):
+        tab = state[0]
         a = nums[c]
         if a > 0 and nums[-1] * tab[r][c] < tab[r][-1] * a:
             break
-        shared.append((tab[:-1] + [nums] + tab[-1:], den[:-1] + [d] + den[-1:],
-                       basis + [slack], cols))
+        shared.append(with_row(*state))
         if a:
             nums, d = _eliminate(nums, d, after[0][r], after[1][r], c)
-    tab, den, basis, cols = path.states[len(shared)]
-    return shared, (tab[:-1] + [nums] + tab[-1:], den[:-1] + [d] + den[-1:],
-                    basis + [slack], cols[:])
+    return shared, with_row(*path.states[len(shared)])
 
 
 def _numerators(values, scale: int) -> list[int]:
