@@ -487,6 +487,8 @@ def fraction_lp_solve(lp: LinearProgram, pivots: list, stats: Counter):
     phase-2 bar on artificials as lp_solve_exact.  Each pivot is
     appended to pivots as (entering, leaving); stats counts ratio-test
     ties, artificials that re-enter and drive-out pivots."""
+    # Fraction entries, so that every quotient is exact for int data too
+    lp = LinearProgram.make(lp.objective, lp.rows, lp.rhs)
     nv = len(lp.objective)
     m = len(lp.rows)
     art = nv + m
@@ -658,19 +660,15 @@ def grown_lp_sequences(seed: int, count: int):
         yield seq
 
 
-def check_grown_sequence(seq, stats: Counter, reference=None):
+def check_grown_sequence(seq, stats: Counter):
     """Solve seq in order through one _BlandPath.  Each result must be
-    the reference's (fraction_lp_solve by default), and the recorded
-    pivots the solve replayed, followed by those it performed, must be
-    the reference's pivots."""
+    fraction_lp_solve's, and the recorded pivots the solve replayed,
+    followed by those it performed, must be its pivots."""
     path = _BlandPath()
     before = None  # the last result
     for lp in seq:
         ref_pivots = []
-        if reference is None:
-            ref = fraction_lp_solve(lp, ref_pivots, Counter())
-        else:
-            ref, ref_pivots = reference(lp)
+        ref = fraction_lp_solve(lp, ref_pivots, Counter())
         states, steps = path.states, path.steps
         res, performed = solve_recording_pivots(lp, path)
         assert res == ref
@@ -758,10 +756,7 @@ def test_chi_f_sequences_replay_the_reference_path():
                                            if rng.random() < p]))
     stats = Counter()
     seqs = chi_f_lp_sequences(graphs)
-    for k, seq in enumerate(seqs):
-        # the thirteen-vertex LPs against the integer solve from
-        # scratch, which test_pivots_match_fraction_reference pins to
-        # the Fraction reference; the smaller ones against it directly
-        check_grown_sequence(seq, stats, solve_recording_pivots if k < 8 else None)
+    for seq in seqs:
+        check_grown_sequence(seq, stats)
     assert sum(map(len, seqs[:8])) >= 80
     assert stats["replayed pivots"] >= stats["pivots"] // 2, stats
