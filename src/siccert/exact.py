@@ -256,15 +256,13 @@ def nullspace(rows: list[Vector], d: int) -> list[Vector]:
 # linear programming: maximize c·x subject to Ax <= b, x >= 0
 # ---------------------------------------------------------------------------
 
-_INT_OR_FRACTION = frozenset((int, Fraction))
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0.
 
     Entries must be rationals: Fractions or ints (make converts floats
-    and strings to Fractions)."""
+    and strings to Fractions).  lp_solve_exact names an entry that is
+    not; construction does not search for one."""
 
     objective: tuple[Fraction | int, ...]
     rows: tuple[tuple[Fraction | int, ...], ...]
@@ -277,13 +275,10 @@ class LinearProgram:
         for r in self.rows:
             if len(r) != nv:
                 raise ValueError("constraint row has wrong variable count")
-        # one pass over the entries' types; only an LP with some entry
-        # not an int or Fraction is searched entry by entry
-        if not _INT_OR_FRACTION.issuperset(
-                map(type, chain(self.objective, *self.rows, self.rhs))):
-            self._reject_non_rational()
 
     def _reject_non_rational(self):
+        """Raise a TypeError naming the first entry that is not a
+        rational, if there is one."""
         entries = chain(
             ((f"objective[{j}]", v) for j, v in enumerate(self.objective)),
             ((f"rows[{i}][{j}]", v) for i, row in enumerate(self.rows)
@@ -352,7 +347,19 @@ def lp_solve_exact(lp: LinearProgram, *,
     the recorded pivots to the first one it would change, and the run
     resumes from the tableau recorded there.  The pivots, the result
     and its verification are those of a solve from scratch.
+
+    An LP entry that is not a rational fails inside the solve; the
+    TypeError raised then names its field and position.
     """
+    try:
+        return _simplex(lp, _path)
+    except (AttributeError, TypeError):
+        lp._reject_non_rational()
+        raise
+
+
+def _simplex(lp: LinearProgram, _path: _BlandPath | None) -> LpResult:
+    """lp_solve_exact's body, with no check of the entries' types."""
     nv, m = len(lp.objective), len(lp.rows)
     art = nv + m  # the first artificial's number
     F0 = Fraction(0)
@@ -518,9 +525,9 @@ def _numerators(values, scale: int) -> list[int]:
 
 
 def _verify_optimal(lp: LinearProgram, x, value, y):
-    """Primal and dual feasibility and a zero duality gap, exactly, in
-    integers: x over one denominator, y over another and the LP data
-    over the lcm of its own denominators."""
+    """Primal and dual feasibility, a zero duality gap and value = c·x,
+    exactly, in integers: x over one denominator, y over another and
+    the LP data over the lcm of its own denominators."""
     dx = math.lcm(*(xi.denominator for xi in x))
     dy = math.lcm(*(yi.denominator for yi in y))
     scale = math.lcm(*(c.denominator for c in lp.objective),
@@ -537,16 +544,20 @@ def _verify_optimal(lp: LinearProgram, x, value, y):
             raise LpCertificateError("primal constraint violated")
     if any(yi < 0 for yi in ys):
         raise LpCertificateError("dual negativity")
-    col = [0] * len(lp.objective)
+    cs = _numerators(lp.objective, scale)
+    col = [0] * len(cs)
     for yi, row in zip(ys, rows):
         if yi:
             col = [acc + yi * a for acc, a in zip(col, row)]
-    for cj, c in zip(col, _numerators(lp.objective, scale)):
+    for cj, c in zip(col, cs):
         if cj < c * dy:
             raise LpCertificateError("dual constraint violated")
     dual_val = sum(map(mul, ys, rhs))
     if dual_val * value.denominator != value.numerator * dy * scale:
         raise LpCertificateError("duality gap")
+    # value is read from the tableau, so x must be shown to attain it
+    if sum(map(mul, cs, xs)) * value.denominator != value.numerator * dx * scale:
+        raise LpCertificateError("primal value")
 
 
 # ---------------------------------------------------------------------------

@@ -210,21 +210,6 @@ def test_fractional_golden():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, name
 
 
-def test_replayed_bland_path_changes_no_result(monkeypatch):
-    # χ_f solved with each round's LP replaying the last round's path,
-    # and with every LP solved from scratch
-    from siccert import coloring
-
-    rng = random.Random(42)
-    graphs = ([parse_graph6(s) for s in THIRTEEN_CHI4_G6]
-              + [TWELVE, cone(YU_OH)]
-              + [random_graph(rng.randint(4, 10), rng.random(), rng)
-                 for _ in range(30)])
-    replayed = [fractional_chromatic_number(g) for g in graphs]
-    monkeypatch.setattr(coloring, "_BlandPath", lambda: None)
-    assert [fractional_chromatic_number(g) for g in graphs] == replayed
-
-
 class TestSicScreening:
     def test_necessary_conditions(self):
         both = sic_necessary_conditions(YU_OH, 3)

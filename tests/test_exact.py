@@ -270,11 +270,14 @@ class TestExactLp:
                 (((bad, 1), ((1, 0),), (1,)), "objective[0]"),
                 (((1, 1), ((1, 0), (0, bad)), (1, 1)), "rows[1][1]"),
                 (((1,), ((1,), (2,)), (1, bad)), "rhs[1]")]:
+            lp = LinearProgram(*args)  # only a solve looks at the types
             with pytest.raises(TypeError, match=rf"^LinearProgram {re.escape(where)} "
                                rf"must be rational .*, not {type(bad).__name__}$"):
-                LinearProgram(*args)
+                lp_solve_exact(lp)
         # rationals of every type pass, and make still converts
-        LinearProgram((True, Fraction(1, 2)), ((np.int64(1), 0),), (1,))
+        assert lp_solve_exact(LinearProgram(
+            (True, Fraction(1, 2)), ((np.int64(1), 0), (0, 1)), (1, 1))).value == \
+            Fraction(3, 2)
         assert LinearProgram.make([0.5], [["1/3"]], [1]).rows == ((Fraction(1, 3),),)
 
     def test_make_validates(self):
@@ -325,6 +328,8 @@ class TestVerifyOptimal:
         (CERT_X, CERT_VALUE, (Fraction(7, 5), Fraction(1, 5), Fraction(0)),
          "dual constraint violated"),
         (CERT_X, CERT_VALUE + Fraction(1, 100), CERT_Y, "duality gap"),
+        # feasible but not optimal: only value = c·x catches it
+        ((Fraction(1), Fraction(1)), CERT_VALUE, CERT_Y, "primal value"),
     ])
     def test_each_corruption_raises(self, x, value, y, message):
         _verify_optimal(CERT_LP, CERT_X, CERT_VALUE, CERT_Y)
@@ -744,10 +749,12 @@ def chi_f_lp_sequences(graphs):
 
 def test_chi_f_sequences_replay_the_reference_path():
     from siccert.enumeration import THIRTEEN_CHI4_G6
-    from siccert.graphs import Graph, parse_graph6
+    from siccert.graphs import Graph, cone, parse_graph6
 
     rng = random.Random(41)
     graphs = [parse_graph6(s) for s in THIRTEEN_CHI4_G6]
+    # the twelve-vertex class and cone(Yu–Oh)
+    graphs += [parse_graph6("K_GTCceEQHHB"), cone(parse_graph6("L?AB?vOLDPHa`o"))]
     for _ in range(30):
         n = rng.randint(5, 10)
         p = rng.random()
