@@ -30,11 +30,13 @@ from .exact import (
     Matrix,
     PsdResult,
     Vector,
+    as_fraction,
     format_gaussian,
     format_rational,
     inner,
     integer_ray,
     nullspace,
+    over_lcm,
     parse_gaussian,
     psd_check_exact,
     rationalize,
@@ -120,21 +122,17 @@ class ProjectorSet:
     def weighted_sum(self, w) -> Matrix:
         """Σ w_i Π_i exactly (exact sets only).  With u_i the integer
         ray, Π_i = u_i u_i†/‖u_i‖², so the sum is integer numerators
-        over D = lcm(den(w_i)·‖u_i‖²), divided by D at the end."""
+        over D, the lcm of the denominators of the w_i/‖u_i‖², divided
+        by D at the end."""
         if len(w) != self.n:
             raise ValueError("weight count does not match vertex count")
-        terms = []
-        for wi, (re, im) in zip(w, self.integer_rays):
-            if wi:
-                p, q = wi.as_integer_ratio()
-                terms.append((p, q * (sum(map(mul, re, re))
-                                      + sum(map(mul, im, im))), re, im))
-        den = math.lcm(*(q for _, q, _, _ in terms))
+        terms = [(as_fraction(wi) / (sum(map(mul, re, re)) + sum(map(mul, im, im))),
+                  re, im) for wi, (re, im) in zip(w, self.integer_rays) if wi]
+        fs, den = over_lcm([t for t, _, _ in terms])
         d = self.d
         sre = [[0] * d for _ in range(d)]
         sim = [[0] * d for _ in range(d)]
-        for p, q, re, im in terms:
-            f = p * (den // q)
+        for f, (_, re, im) in zip(fs, terms):
             for a in range(d):
                 # f·u_a·conj(u_b), row a
                 fr, fi, ra, ia = f * re[a], f * im[a], sre[a], sim[a]
@@ -323,7 +321,7 @@ def noncontextual_bound(g: Graph, w) -> Fraction:
     """Largest value a deterministic orthogonality-respecting 0/1
     assignment can give the inequality's left side: the maximum
     w-weight of an independent set."""
-    wf = [Fraction(x) for x in w]
+    wf = [as_fraction(x) for x in w]
     if len(wf) != g.n:
         raise ValueError("weight count does not match vertex count")
     if any(x < 0 for x in wf):
@@ -335,15 +333,11 @@ def noncontextual_bound(g: Graph, w) -> Fraction:
 def noncontextual_bound_sweep(g: Graph, w) -> Fraction:
     """Cross-check by sweeping all 2^n deterministic assignments of
     the left side Σ w_i p_i − Σ_{edges} (w_i+w_j) p_i p_j."""
-    wf = [Fraction(x) for x in w]
-    if len(wf) != g.n:
+    iw, den = over_lcm([as_fraction(x) for x in w])
+    if len(iw) != g.n:
         raise ValueError("weight count does not match vertex count")
     if g.n > 20:
         raise ValueError("sweep is guarded at 20 vertices")
-    den = 1
-    for x in wf:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    iw = [int(x * den) for x in wf]
     best = None
     for p in range(1 << g.n):
         # Σ_{edges inside p}(w_i + w_j) = Σ_{i in p} w_i · |N(i) ∩ p|
@@ -585,7 +579,7 @@ def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):
     while rounds < max_rounds:
         res = linprog(c, A_ub=set_rows + cut_rows,
                       b_ub=[0.0] * len(set_rows) + [-1.0] * len(cut_rows),
-                      bounds=[(0, None)] * (n + 1), method="highs")
+                      method="highs")
         if not res.success:
             return None, rounds, lam, f"LP solver failed: {res.message}"
         w = res.x[:n]

@@ -10,11 +10,10 @@ a strong-duality certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LinearProgram, _BlandPath, lp_solve_exact
+from .exact import LinearProgram, _BlandPath, lp_solve_exact, over_lcm
 from .graphs import (
     Graph,
     heaviest_maximal_independent_set,
@@ -147,8 +146,7 @@ def fractional_chromatic_number(g: Graph) -> FractionalResult:
         assert res.status == "optimal"  # feasible (w=0) and bounded (covers)
         # the weights as int numerators over their lcm: a positive
         # scale keeps the oracle's comparisons, ties and mask
-        den = math.lcm(*(x.denominator for x in res.solution))
-        nums = [x.numerator * (den // x.denominator) for x in res.solution]
+        nums, den = over_lcm(res.solution)
         worst, weight = heaviest_maximal_independent_set(g, nums)
         if weight <= den:
             break

@@ -30,7 +30,6 @@ when it runs, starts from the root partition already computed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .canon import CanonResult, canonicalize, equitable_partition
@@ -57,7 +56,6 @@ class EnumerationReport:
     counts: dict[int, int] = field(default_factory=dict)
     chi_filter: int | None = None
     filtered: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def total(self) -> int:
@@ -258,7 +256,6 @@ def enumerate_square_free_connected(
     if not 1 <= n_max <= MAX_ENUM_N:
         raise ValueError(f"n_max must be within 1..{MAX_ENUM_N}")
     check_workers(workers)
-    t0 = time.perf_counter()
     report = EnumerationReport(n_max=n_max, chi_filter=chi_gt)
 
     root = Graph.empty(1)
@@ -278,7 +275,6 @@ def enumerate_square_free_connected(
             sink(g)
 
     report.filtered.sort(key=lambda s: (len(s), s))
-    report.wall_time = time.perf_counter() - t0
     return report
 
 

@@ -4,7 +4,10 @@ solver, and a positive-semidefiniteness test for Hermitian matrices.
 Everything here is tolerance-free.  Rationals are stdlib Fractions;
 complex entries are pairs of Fractions.  The hot loops work on integer
 numerators over common denominators instead (the fraction-free
-elimination of Bareiss, Math. Comp. 22, 1968, and Edmonds).  The LP
+elimination of Bareiss, Math. Comp. 22, 1968, and Edmonds), exact
+only in unbounded ints.  over_lcm, the one place rationals become
+such numerators, and as_fraction, the one place an outside number
+becomes a Fraction, both force Python ints on numpy integers.  The LP
 solver pivots a condensed tableau (a row per basic and a column per
 nonbasic variable) by Bland's rule.  Each row is held as integer
 numerators over one positive integer denominator, so a pivot is
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
-from operator import mul
+from operator import attrgetter, index, mul
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +43,27 @@ from operator import mul
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def as_fraction(x) -> Fraction:
+    """x (a rational, float or string) as a Fraction with Python-int
+    parts.  Fraction(x) keeps a numpy integer's own type in its parts,
+    where products wrap around at 64 bits."""
+    if isinstance(x, Rational):
+        return Fraction(index(x.numerator), index(x.denominator))
+    return Fraction(x)
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """A sequence of rationals (ints, Fractions, numpy integers: any
+    numbers.Rational) as Python-int numerators over the lcm of their
+    denominators, their lowest common denominator."""
+    nums = list(map(index, map(attrgetter("numerator"), values)))
+    dens = list(map(index, map(attrgetter("denominator"), values)))
+    d = math.lcm(*dens)
+    if d == 1:
+        return nums, 1
+    return [p * (d // q) for p, q in zip(nums, dens)], d
 
 
 def rationalize(x: float, max_denominator: int) -> Fraction:
@@ -64,11 +88,13 @@ class GaussianRational:
 
     @staticmethod
     def of(value) -> "GaussianRational":
+        """value, or a complex, rational, float or string as one; numpy
+        integers become Fractions with Python-int parts (as_fraction)."""
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, complex):
             return GaussianRational(Fraction(value.real), Fraction(value.imag))
-        return GaussianRational(Fraction(value), Fraction(0))
+        return GaussianRational(as_fraction(value), Fraction(0))
 
     def __add__(self, other) -> "GaussianRational":
         o = GaussianRational.of(other)
@@ -192,10 +218,8 @@ def gm_quadratic_form(m: Matrix, x: Vector) -> GaussianRational:
 def integer_ray(v: Vector) -> IntegerRay:
     """v scaled by the lcm of its entries' denominators, a vector of
     Gaussian integers: the int tuples of its real and imaginary parts."""
-    scale = math.lcm(*(x.re.denominator for x in v),
-                     *(x.im.denominator for x in v))
-    return (tuple(x.re.numerator * (scale // x.re.denominator) for x in v),
-            tuple(x.im.numerator * (scale // x.im.denominator) for x in v))
+    nums, _ = over_lcm([x.re for x in v] + [x.im for x in v])
+    return tuple(nums[:len(v)]), tuple(nums[len(v):])
 
 
 def nullspace(rows: list[Vector], d: int) -> list[Vector]:
@@ -260,9 +284,11 @@ def nullspace(rows: list[Vector], d: int) -> list[Vector]:
 class LinearProgram:
     """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0.
 
-    Entries must be rationals: Fractions or ints (make converts floats
-    and strings to Fractions).  lp_solve_exact names an entry that is
-    not; construction does not search for one."""
+    Entries must be rationals: Fractions, ints or numpy integers, which
+    a solve reads as Python ints (over_lcm).  make converts floats,
+    strings and numpy integers to Python-int Fractions (as_fraction).
+    lp_solve_exact names an entry that is not rational; construction
+    does not search for one."""
 
     objective: tuple[Fraction | int, ...]
     rows: tuple[tuple[Fraction | int, ...], ...]
@@ -292,9 +318,9 @@ class LinearProgram:
     @staticmethod
     def make(objective, rows, rhs) -> "LinearProgram":
         return LinearProgram(
-            tuple(Fraction(x) for x in objective),
-            tuple(tuple(Fraction(x) for x in r) for r in rows),
-            tuple(Fraction(x) for x in rhs),
+            tuple(as_fraction(x) for x in objective),
+            tuple(tuple(as_fraction(x) for x in r) for r in rows),
+            tuple(as_fraction(x) for x in rhs),
         )
 
 
@@ -373,23 +399,25 @@ def _simplex(lp: LinearProgram, _path: _BlandPath | None) -> LpResult:
             and prev.objective == lp.objective
             and prev.rows == lp.rows[:-1] and prev.rhs == lp.rhs[:-1]):
         states, (tab, den, basis, cols) = _replay(
-            _path, _integer_row([*lp.rows[-1], lp.rhs[-1]]), art - 1)
+            _path, over_lcm([*lp.rows[-1], lp.rhs[-1]]), art - 1)
         steps = _path.steps[:len(states)]
     else:
         cols = list(range(nv)) + [nv + i for i in neg]
-        basis: list[int] = []
-        rat = []  # the rows as Fractions and ints, before scaling
+        basis = [art + i if b < 0 else nv + i for i, b in enumerate(lp.rhs)]
+        rows = []  # (int numerators, denominator) per tableau row
         for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-            sgn = -1 if b < 0 else 1
-            slacks = [-1 if k == i else 0 for k in neg]
-            rat.append([sgn * a for a in row] + slacks + [sgn * b])
-            basis.append(art + i if b < 0 else nv + i)
+            nums, d = over_lcm([*row, b])
+            sgn = -1 if b < 0 else 1  # a negated row's slack: -1 = -d/d
+            rows.append(([sgn * a for a in nums[:-1]]
+                         + [-d if k == i else 0 for k in neg] + [sgn * nums[-1]], d))
         # objective rows hold reduced costs (z_j - c_j); the phase-2 row
         # maximizes the objective, the phase-1 row -sum(artificials)
-        rat.append([-c for c in lp.objective] + [0] * (len(neg) + 1))
+        nums, d = over_lcm(lp.objective)
+        rows.append(([-c for c in nums] + [0] * (len(neg) + 1), d))
         if neg:
-            rat.append([-sum(col) for col in zip(*(rat[i] for i in neg))])
-        tab, den = map(list, zip(*map(_integer_row, rat)))
+            rows.append(over_lcm([-sum(Fraction(rows[i][0][j], rows[i][1]) for i in neg)
+                                  for j in range(nv + len(neg) + 1)]))
+        tab, den = map(list, zip(*rows))
         states, steps = [], []
 
     def pivot(r: int, c: int):
@@ -464,13 +492,6 @@ def _simplex(lp: LinearProgram, _path: _BlandPath | None) -> LpResult:
     return LpResult("optimal", value, tuple(x), tuple(y))
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """A row of rationals as int numerators over its lowest common
-    denominator."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def _eliminate(row: list[int], d: int, prow: list[int], p: int, c: int):
     """row (over d) with column c cleared by the pivot row prow (over p)
     and the leaving variable's unit column put in c: the new row list
@@ -518,25 +539,16 @@ def _replay(path: _BlandPath, row: tuple[list[int], int], slack: int):
     return shared, with_row(*path.states[len(shared)])
 
 
-def _numerators(values, scale: int) -> list[int]:
-    """Integer numerators of rationals (Fractions or ints) over scale, a
-    common multiple of their denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _verify_optimal(lp: LinearProgram, x, value, y):
     """Primal and dual feasibility, a zero duality gap and value = c·x,
     exactly, in integers: x over one denominator, y over another and
     the LP data over the lcm of its own denominators."""
-    dx = math.lcm(*(xi.denominator for xi in x))
-    dy = math.lcm(*(yi.denominator for yi in y))
-    scale = math.lcm(*(c.denominator for c in lp.objective),
-                     *(a.denominator for row in lp.rows for a in row),
-                     *(b.denominator for b in lp.rhs))
-    xs = _numerators(x, dx)
-    ys = _numerators(y, dy)
-    rows = [_numerators(row, scale) for row in lp.rows]
-    rhs = _numerators(lp.rhs, scale)
+    xs, dx = over_lcm(x)
+    ys, dy = over_lcm(y)
+    data, scale = over_lcm([*chain(lp.objective, *lp.rows, lp.rhs)])
+    nv, m = len(x), len(y)
+    cs, rhs = data[:nv], data[nv * (m + 1):]
+    rows = [data[nv * k:nv * (k + 1)] for k in range(1, m + 1)]
     if any(xi < 0 for xi in xs):
         raise LpCertificateError("primal negativity")
     for row, b in zip(rows, rhs):
@@ -544,8 +556,7 @@ def _verify_optimal(lp: LinearProgram, x, value, y):
             raise LpCertificateError("primal constraint violated")
     if any(yi < 0 for yi in ys):
         raise LpCertificateError("dual negativity")
-    cs = _numerators(lp.objective, scale)
-    col = [0] * len(cs)
+    col = [0] * nv
     for yi, row in zip(ys, rows):
         if yi:
             col = [acc + yi * a for acc, a in zip(col, row)]

@@ -307,6 +307,13 @@ class TestIntegerRays:
                    for r, pr in zip(ref, p)]
         assert s.weighted_sum(w) == ref
 
+    def test_numpy_built_set(self):
+        # 2^32 · 2^32 wraps to 0 in int64, which once made these rays
+        # orthogonal
+        s = ProjectorSet.from_exact(3, np.array([[2 ** 32, 1, 0], [2 ** 32, 0, 1]]))
+        assert all(type(x) is int for re, im in s.integer_rays for x in re + im)
+        assert orthogonality_graph(s).rows == (0, 0)
+
     def test_weighted_sum_needs_one_weight_per_ray(self):
         with pytest.raises(ValueError):
             yu_oh().weighted_sum([Fraction(1)] * 12)
@@ -330,6 +337,11 @@ class TestBounds:
             w = [Fraction(rng.randint(0, 9), rng.randint(1, 7))
                  for _ in range(n)]
             assert noncontextual_bound(g, w) == noncontextual_bound_sweep(g, w)
+
+    def test_numpy_weights(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        w = np.array([2 ** 62] * 3)
+        assert noncontextual_bound(g, w) == noncontextual_bound_sweep(g, w) == 2 ** 63
 
     def test_weight_validation(self):
         g = Graph.cycle(4)

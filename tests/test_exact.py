@@ -22,6 +22,7 @@ from siccert.exact import (
     LpResult,
     _BlandPath,
     _verify_optimal,
+    as_fraction,
     format_gaussian,
     format_rational,
     gm_is_hermitian,
@@ -29,6 +30,7 @@ from siccert.exact import (
     inner,
     lp_solve_exact,
     nullspace,
+    over_lcm,
     parse_gaussian,
     psd_check_exact,
     psd_reconstruct,
@@ -351,6 +353,57 @@ class TestVerifyOptimal:
                 (x, value - Fraction(1, 6), y, "duality gap")]:
             with pytest.raises(LpCertificateError, match=f"^{message}$"):
                 _verify_optimal(BOUND_LP, xc, vc, yc)
+
+
+# c, A and b of an LP whose tableau leaves int64 on the first pivot; in
+# numpy integers a solve once wrapped around and read it as unbounded
+WIDE_LP = ([44517, 42352, 43038, 45063],
+           [[91050, 90887, 17610, 10553], [78790, 4451, 93841, 10482]],
+           [96957, 45036])
+
+
+def int_lps(seed: int, count: int):
+    """Seeded c, A, b lists of Python ints: 2-4 variables, 2-5 rows,
+    entries in 0..10^5."""
+    rng = random.Random(seed)
+
+    def ints(k):
+        return [rng.randint(0, 10 ** 5) for _ in range(k)]
+
+    for _ in range(count):
+        nv, m = rng.randint(2, 4), rng.randint(2, 5)
+        yield ints(nv), [ints(nv) for _ in range(m)], ints(m)
+
+
+class TestNumpyIntegers:
+    """numpy integers are read as Python ints, so no product wraps."""
+
+    def test_over_lcm(self):
+        nums, d = over_lcm([np.int64(2 ** 40), Fraction(1, 6), np.int32(3), True])
+        assert (nums, d) == ([6 * 2 ** 40, 1, 18, 6], 6)
+        assert all(type(x) is int for x in nums)
+        assert over_lcm([]) == ([], 1)
+        x = as_fraction(np.int64(2 ** 62))
+        assert type(x.numerator) is int and x * 4 == 2 ** 64
+        assert as_fraction("1/3") == Fraction(1, 3) and as_fraction(0.5) == Fraction(1, 2)
+
+    def test_wide_lp(self):
+        c, a, b = WIDE_LP
+        res = solve(np.array(c), np.array(a), np.array(b))
+        assert res.status == "optimal"
+        assert res.value == Fraction(17083468115937, 82336921)
+        assert res == solve(c, a, b)
+
+    def test_seeded_lps_match_the_python_int_solve(self):
+        def int64s(v):
+            return tuple(map(np.int64, v))
+
+        for c, a, b in int_lps(3, 300):
+            want = lp_solve_exact(LinearProgram(tuple(c), tuple(map(tuple, a)),
+                                                tuple(b)))
+            assert solve(np.array(c), np.array(a), np.array(b)) == want
+            assert lp_solve_exact(LinearProgram(
+                int64s(c), tuple(map(int64s, a)), int64s(b))) == want
 
 
 def random_lps(seed: int, count: int):

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every private
-module-level name is read somewhere in the package, and every public
-module-level function is exported or called.
+module-level name is read somewhere in the package, every public
+module-level function is exported or called, and only exact.py takes
+rationals apart.
 
 Stdlib-only lints.  For imports, each module of the package except
 __init__.py (which imports to re-export) is parsed, and a name bound by
@@ -11,7 +12,10 @@ module of the package reads that name, bare or as an attribute.  For
 public functions, a function defined at the top of a module under a
 name without a leading underscore is reported when it is not in
 siccert.__all__ and no module of the package reads it outside its own
-body."""
+body.  For rationals, a module other than exact.py is reported where it
+reads .numerator, .denominator or .as_integer_ratio, or uses math.lcm:
+exact.over_lcm is the one place rationals become integer numerators,
+and the one that forces Python ints."""
 
 import ast
 from collections import Counter
@@ -156,3 +160,37 @@ def test_lint_sees_an_uncalled_public_function():
     }
     assert uncalled_public_functions(sources, ["exported"]) == [
         "a.py line 5: recursive", "a.py line 7: planted"]
+
+
+RATIONAL_PARTS = {"numerator", "denominator", "as_integer_ratio"}
+
+
+def rational_part_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in RATIONAL_PARTS
+                or node.attr == "lcm" and isinstance(node.value, ast.Name)
+                and node.value.id == "math"):
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, "lcm") for alias in node.names
+                      if alias.name == "lcm"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "exact.py"],
+                         ids=lambda p: p.name)
+def test_only_exact_takes_rationals_apart(path):
+    assert rational_part_reads(path.read_text()) == []
+
+
+def test_lint_sees_rationals_taken_apart():
+    src = ("import math\nfrom math import gcd, lcm\n"
+           "def f(x, w, denominator):\n"
+           "    d = x.denominator\n"
+           "    p, q = w.as_integer_ratio()\n"
+           "    return math.lcm(d, q) * x.numerator + math.gcd(p, denominator)\n")
+    assert rational_part_reads(src) == [
+        "line 2: lcm", "line 4: .denominator", "line 5: .as_integer_ratio",
+        "line 6: .lcm", "line 6: .numerator"]
