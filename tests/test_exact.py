@@ -385,7 +385,8 @@ class TestNumpyIntegers:
         assert over_lcm([]) == ([], 1)
         x = as_fraction(np.int64(2 ** 62))
         assert type(x.numerator) is int and x * 4 == 2 ** 64
-        assert as_fraction("1/3") == Fraction(1, 3) and as_fraction(0.5) == Fraction(1, 2)
+        assert as_fraction("1/3") == Fraction(1, 3)
+        assert as_fraction(0.5) == Fraction(1, 2)
 
     def test_wide_lp(self):
         c, a, b = WIDE_LP
