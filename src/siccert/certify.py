@@ -20,7 +20,6 @@ from functools import cached_property
 from operator import mul
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .canon import canonicalize
 from .coloring import fractional_chromatic_number
@@ -554,6 +553,18 @@ def certify_sic(s: ProjectorSet, max_rounds: int = 60,
         diagnostics=f"numeric convergence (min eigenvalue {lam:.2e}) "
                     "but exact verification failed on the "
                     "rationalization ladder")
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Importing scipy.optimize would take most of the time of `import
+    siccert`, and only the numeric cutting planes need it, so exact
+    certification never loads it.  The name stays a module attribute
+    that _cutting_planes looks up on each call, so a wrapper put in its
+    place from outside (perfbench's tracer, a test) sees every call."""
+    import scipy.optimize
+    return scipy.optimize.linprog(*args, **kwargs)
 
 
 def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):

@@ -20,8 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.optimize import minimize
 
 from .exact import GaussianRational, inner
 from .graphs import Graph
@@ -134,6 +132,7 @@ def objective_and_gradient(vectors: np.ndarray, g: Graph):
 @functools.cache
 def _scipy_openblas():
     """scipy's bundled OpenBLAS with its thread-count calls, or None."""
+    import scipy
     libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
         try:
@@ -166,6 +165,18 @@ def _one_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads(before)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Importing scipy.optimize would take most of the time of `import
+    siccert`, and only the search needs it.  The name stays a module
+    attribute that _one_restart looks up on each call, so a wrapper put
+    in its place from outside (perfbench's tracer, a test) sees every
+    call and its result."""
+    import scipy.optimize
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def _one_restart(job) -> RealizationResult:
@@ -227,7 +238,12 @@ def find_realization(g: Graph, d: int, field: str = "real",
         raise ValueError("tol and delta must be positive and finite")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     check_workers(workers)
+    # loaded here, before a pool forks, so that workers inherit it
+    # instead of each importing it again
+    import scipy.optimize
     jobs = [(g, d, field == "complex", tol, delta, seed, k)
             for k in range(restarts)]
     return min(ordered_results(_one_restart, jobs, workers),

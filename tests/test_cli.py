@@ -251,11 +251,13 @@ class TestOddInput:
     @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"],
                                         ["--delta", "nan"], ["--tol", "0"],
                                         ["--restarts", "0"], ["--dim", "1"],
-                                        ["--workers", "0"]])
+                                        ["--workers", "0"], ["--seed", "-1"]])
     def test_bad_realize_option(self, capsys, option):
         argv = ["realize", "A_", "--dim", "2", *option]
         err = self.quiet_run(capsys, *argv)
         assert err.startswith("error: ")
+        if option[0] == "--seed":
+            assert err == "error: seed must be at least 0\n"
 
     @pytest.mark.parametrize("command", ["certify", "inequality"])
     @pytest.mark.parametrize("tol", ["nan", "-1"])

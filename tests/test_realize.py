@@ -115,6 +115,17 @@ class TestSearch:
         with pytest.raises(ValueError, match="workers"):
             find_realization(YU_OH, 3, workers=0)
 
+    def test_negative_seed(self, monkeypatch):
+        # rejected by name before any restart or pool starts, not by
+        # numpy's default_rng inside a restart
+        def no_restarts(*args):
+            raise AssertionError("restarts ran")
+
+        monkeypatch.setattr(realize, "ordered_results", no_restarts)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="^seed must be at least 0$"):
+                find_realization(YU_OH, 3, seed=-1, workers=workers)
+
 
 class TestBestRestart:
     """Restart k of a search from seed 0 is the one-restart search from
