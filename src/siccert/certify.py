@@ -8,6 +8,9 @@ LP or from a floating cutting-plane loop, but a SIC verdict is only
 ever issued after exact rational verification of (a) and (b).
 NOT_SIC is only issued on an explicit, replayable obstruction; when
 neither side can be certified the answer is UNDECIDED.
+
+numpy and scipy are imported inside the functions that use them, so
+that exact certification loads neither.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .canon import canonicalize
 from .coloring import fractional_chromatic_number
@@ -47,6 +49,9 @@ from .graphs import (
     max_weight_independent_set,
     maximal_set_per_vertex,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class VectorFileError(ValueError):
@@ -106,6 +111,7 @@ class ProjectorSet:
 
     def numeric_vectors(self) -> np.ndarray:
         """Unit-normalized vectors as a complex (n, d) array."""
+        import numpy as np
         arr = np.array([[complex(x) for x in v] for v in self.vectors],
                        dtype=complex)
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
@@ -294,6 +300,7 @@ def orthogonality_graph(s: ProjectorSet, tol: float = 0.0) -> Graph:
     else:
         if tol <= 0:
             raise ValueError("numeric orthogonality needs tol > 0")
+        import numpy as np
         arr = s.numeric_vectors()
         overlaps = np.abs(arr @ arr.conj().T)
         for i in range(n):
@@ -350,29 +357,34 @@ def noncontextual_bound_sweep(g: Graph, w) -> Fraction:
 
 def quantum_value(s: ProjectorSet, w, state: np.ndarray) -> float:
     """tr(ρ Σ w_i Π_i) for a density matrix, or ⟨ψ|Σ w_i Π_i|ψ⟩ for a
-    unit vector."""
+    unit vector, in the set's dimension d."""
+    import numpy as np
     m = _numeric_weighted_sum(s, w)
     state = np.asarray(state, dtype=complex)
+    d = s.d
+    if state.shape not in ((d,), (d, d)):
+        raise ValueError(f"state must have shape ({d},) or ({d}, {d}) "
+                         f"in dimension d = {d}, not {state.shape}")
     if state.ndim == 1:
         if abs(np.linalg.norm(state) - 1) > 1e-9:
             raise ValueError("state vector is not normalized")
         return float(np.real(state.conj() @ m @ state))
-    if state.ndim == 2:
-        if abs(np.trace(state).real - 1) > 1e-9 or abs(np.trace(state).imag) > 1e-9:
-            raise ValueError("density matrix must have unit trace")
-        return float(np.real(np.trace(state @ m)))
-    raise ValueError("state must be a vector or a matrix")
+    if abs(np.trace(state).real - 1) > 1e-9 or abs(np.trace(state).imag) > 1e-9:
+        raise ValueError("density matrix must have unit trace")
+    return float(np.real(np.trace(state @ m)))
 
 
 def quantum_value_floor(s: ProjectorSet, w) -> float:
     """min over states of the quantum value: the smallest eigenvalue
     of Σ w_i Π_i."""
+    import numpy as np
     return float(np.linalg.eigvalsh(_numeric_weighted_sum(s, w))[0])
 
 
 def _numeric_weighted_sum(s: ProjectorSet, w) -> np.ndarray:
     if len(w) != s.n:
         raise ValueError("weight count does not match vertex count")
+    import numpy as np
     arr = s.numeric_vectors()
     m = np.zeros((s.d, s.d), dtype=complex)
     for i in range(s.n):
@@ -573,6 +585,7 @@ def _cutting_planes(s: ProjectorSet, g: Graph, max_rounds: int):
     maximal independent set weighs more than y it becomes a new row;
     once none does, a round adds the cut at the bottom eigenvector of
     Σ w_i Π_i.  Only these rounds count against max_rounds."""
+    import numpy as np
     n = s.n
     arr = s.numeric_vectors()
     projs = [np.outer(arr[i], arr[i].conj()) for i in range(n)]

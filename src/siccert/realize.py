@@ -7,23 +7,27 @@ objective f(v) = Σ over edges of |⟨v̂_i, v̂_j⟩|² from random starts;
 its zeros are exactly the orthogonal representations.  Outcomes are
 heuristic: "failed" means no start converged, never that no
 representation exists.
+
+numpy and scipy are imported inside the functions that use them, so
+that `import siccert` and the exact commands load neither.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import GaussianRational, inner
 from .graphs import Graph
 from .runner import check_workers, ordered_results
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,7 @@ def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
     """Both ends of every edge in edge order, as index arrays: ends is
     i₀, j₀, i₁, j₁, … and others is j₀, i₀, j₁, i₁, …, so row k of a
     gathered array belongs to vertex ends[k] across from others[k]."""
+    import numpy as np
     ends = np.array(edges, dtype=np.intp).reshape(-1)
     return ends, ends.reshape(-1, 2)[:, ::-1].ravel()
 
@@ -87,6 +92,7 @@ def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
     - f is summed left to right.  np.sum sums pairwise, and Python's
       sum compensates from 3.12 on.
     """
+    import numpy as np
     v = _vectors(x, n, d, is_complex)
     norms = np.einsum("ij,ij->i", v.conj(), v).real
     rows = list(v)
@@ -118,6 +124,7 @@ def _objective(x: np.ndarray, n: int, d: int, edges, ends: np.ndarray,
 def objective_and_gradient(vectors: np.ndarray, g: Graph):
     """f(v) = Σ_edges |⟨v̂_i,v̂_j⟩|² and its gradient with respect to
     the flattened (real-parametrized) unnormalized vectors."""
+    import numpy as np
     v = np.asarray(vectors)
     n, d = v.shape
     edges = list(g.edges())
@@ -132,6 +139,9 @@ def objective_and_gradient(vectors: np.ndarray, g: Graph):
 @functools.cache
 def _scipy_openblas():
     """scipy's bundled OpenBLAS with its thread-count calls, or None."""
+    import ctypes
+    import glob
+
     import scipy
     libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
@@ -183,6 +193,7 @@ def _one_restart(job) -> RealizationResult:
     """Restart k: L-BFGS-B from a start drawn from seed + k, its vectors
     normalized and the run classified against tol and delta.  A vector
     that collapsed to zero fails the run with residual inf."""
+    import numpy as np
     g, d, is_complex, tol, delta, seed, k = job
     n = g.n
     edges = list(g.edges())
@@ -238,11 +249,15 @@ def find_realization(g: Graph, d: int, field: str = "real",
         raise ValueError("tol and delta must be positive and finite")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
+    try:
+        seed = operator.index(seed)  # a numpy integer becomes its int
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {seed!r}") from None
     if seed < 0:
         raise ValueError("seed must be at least 0")
     check_workers(workers)
-    # loaded here, before a pool forks, so that workers inherit it
-    # instead of each importing it again
+    # loaded here (numpy with it), before a pool forks, so that workers
+    # inherit it instead of each importing it again
     import scipy.optimize
     jobs = [(g, d, field == "complex", tol, delta, seed, k)
             for k in range(restarts)]
@@ -274,9 +289,12 @@ def verify_realization(g: Graph, vectors, exact: bool,
                 elif ip.abs2() == norms[i].re * norms[j].re:
                     return False  # parallel rays on a non-edge
         return True
+    import numpy as np
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError("vectors must form a 2-d array")
+    if not np.isfinite(v).all():
+        return False  # a NaN would fail every rejecting test below
     norms = np.linalg.norm(v, axis=1)
     if np.min(norms) < 1e-12:
         return False

@@ -374,6 +374,20 @@ class TestBounds:
         with pytest.raises(ValueError):
             quantum_value(s, w, 2 * rho)
 
+    @pytest.mark.parametrize("state", [
+        [[1, 0, 0], [0, 0, 0]],  # once read as a density matrix: 4.333…
+        [1, 0, 0, 0],
+        [1, 0],
+        [[[1, 0, 0]]],
+        np.eye(4) / 4,
+        1.0,
+    ], ids=["2x3", "length-4", "length-2", "3-d", "4x4", "scalar"])
+    def test_quantum_value_state_shape(self, state):
+        message = (r"^state must have shape \(3,\) or \(3, 3\) in "
+                   r"dimension d = 3, not \(")
+        with pytest.raises(ValueError, match=message):
+            quantum_value(yu_oh(), [1.0] * 13, state)
+
     def test_quantum_value_floor(self):
         s = ProjectorSet.from_exact(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert abs(quantum_value_floor(s, [1, 1, 1]) - 1) < 1e-12

@@ -1,12 +1,14 @@
-"""scipy.optimize is loaded only by the numeric cutting planes and the
-realization search.
+"""scipy.optimize and numpy are loaded only by the numeric paths: the
+numeric cutting planes, the numeric orthogonality graph and quantum
+values, and the realization search.
 
-Importing it would take most of the time of `import siccert`, so the
-exact commands must never load it.  Each boundary check runs in a
-fresh interpreter, where nothing else has imported scipy yet.  The
-realization search loads it in the caller before a pool forks, and
-every call still goes through the module names certify.linprog and
-realize.minimize, which perfbench's tracer and the tests replace."""
+Importing them would take most of the time and memory of `import
+siccert`, so the exact commands must never load them.  Each boundary
+check runs in a fresh interpreter, where nothing else has imported
+either yet.  The realization search loads both in the caller before a
+pool forks, and every call still goes through the module names
+certify.linprog and realize.minimize, which perfbench's tracer and the
+tests replace."""
 
 import json
 import os
@@ -32,8 +34,10 @@ argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = siccert.cli.main(argv)
-print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"code": code, **{
+    top: sorted(m for m in sys.modules
+                if m == top or m.startswith(top + "."))
+    for top in ("scipy", "numpy")}}))
 """
 
 POOL = """
@@ -49,10 +53,13 @@ def key(r):
 runner._usable_cpus = lambda: 2  # a real pool even on one usable CPU
 g = parse_graph6(sys.argv[1])
 before = "scipy.optimize" in sys.modules
+numpy_before = "numpy" in sys.modules
 pooled = find_realization(g, 3, restarts=4, workers=2)
 after = "scipy.optimize" in sys.modules
+numpy_after = "numpy" in sys.modules
 serial = find_realization(g, 3, restarts=4, workers=1)
 print(json.dumps({"before": before, "after": after,
+                  "numpy_before": numpy_before, "numpy_after": numpy_after,
                   "pooled": key(pooled), "serial": key(serial)}))
 """
 
@@ -74,25 +81,34 @@ def fresh(script: str, *args: str) -> dict:
     ["enumerate", "--max-n", "7"],
     ["graph", "chif", "K_GTCceEQHHB"],
     ["certify", YU_OH_VEC],  # chi_f decides it: no linprog call
-], ids=["import", "enumerate", "graph-chif", "certify-exact"])
+    ["inequality", YU_OH_VEC],
+], ids=["import", "enumerate", "graph-chif", "certify-exact",
+        "inequality-exact"])
 def test_exact_paths_load_no_scipy(argv):
+    # and no numpy either
     got = fresh(BOUNDARY, json.dumps(argv))
     assert got["scipy"] == []
+    assert got["numpy"] == []
     assert got["code"] == (0 if argv else None)
 
 
 def test_numeric_certify_loads_scipy_optimize():
-    # the control: the boundary check sees scipy when it is loaded
+    # the control: the boundary check sees scipy and numpy when they
+    # are loaded
     got = fresh(BOUNDARY, json.dumps(["certify", "--numeric", YU_OH_VEC]))
     assert "scipy.optimize" in got["scipy"]
+    assert "numpy" in got["numpy"]
 
 
 def test_search_loads_scipy_optimize_before_the_pool():
     # without the load in find_realization, only the forked workers
-    # import scipy.optimize, and each pooled call imports it again
+    # import scipy.optimize (and numpy), and each pooled call imports
+    # it again
     got = fresh(POOL, YU_OH_G6)
     assert not got["before"]
     assert got["after"]
+    assert not got["numpy_before"]
+    assert got["numpy_after"]
     assert got["pooled"] == got["serial"]
 
 

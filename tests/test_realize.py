@@ -1,6 +1,7 @@
 """Orthogonal-representation search and verification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,28 @@ class TestSearch:
         for workers in (1, 2):
             with pytest.raises(ValueError, match="^seed must be at least 0$"):
                 find_realization(YU_OH, 3, seed=-1, workers=workers)
+
+    def test_non_integer_seed(self, monkeypatch):
+        # rejected by name before any restart or pool starts, not by
+        # numpy's SeedSequence inside restart 0
+        def no_restarts(*args):
+            raise AssertionError("restarts ran")
+
+        monkeypatch.setattr(realize, "ordered_results", no_restarts)
+        for workers in (1, 2):
+            for seed in (1.5, 2.0, "3", None):
+                with pytest.raises(TypeError,
+                                   match="^seed must be an integer, not "):
+                    find_realization(Graph.complete(4), 3, restarts=1,
+                                     seed=seed, workers=workers)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    def test_integer_seed_types(self, seed):
+        a = find_realization(Graph.cycle(5), 3, restarts=3, seed=seed)
+        b = find_realization(Graph.cycle(5), 3, restarts=3, seed=int(seed))
+        assert (a.status, repr(a.residual), a.restart_index) == \
+            (b.status, repr(b.residual), b.restart_index)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 class TestBestRestart:
@@ -369,6 +392,21 @@ class TestVerify:
                                   tol=1e-8)
         assert not verify_realization(Graph.complete(3), ok, exact=False,
                                       tol=1e-12)
+
+    @pytest.mark.parametrize("vectors", [
+        [(math.nan, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(math.nan,) * 3] * 4,
+        [(math.inf, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(complex(0, math.inf), 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ], ids=["nan-row", "all-nan", "inf-row", "imaginary-inf"])
+    def test_numeric_non_finite_fails(self, vectors):
+        # K4 has no representation in d = 3, but a NaN fails every
+        # comparison that would reject it; these once returned True,
+        # with numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not verify_realization(Graph.complete(4), vectors,
+                                          exact=False)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
