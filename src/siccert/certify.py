@@ -114,6 +114,11 @@ class ProjectorSet:
         import numpy as np
         arr = np.array([[complex(x) for x in v] for v in self.vectors],
                        dtype=complex)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1, keepdims=True)
+        # first divide a row whose squared norm under- or overflows by its largest part
+        part = np.maximum(abs(arr.real), abs(arr.imag)).max(axis=1, keepdims=True)
+        arr = arr / np.where((norms == 0) | np.isinf(norms), part, 1.0)
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
     @cached_property
@@ -203,49 +208,39 @@ def parse_vector_file(text: str, mode: str = "auto") -> ProjectorSet:
     if not rows:
         raise VectorFileError("no vectors after the dimension line")
 
-    def try_exact():
-        out = []
-        for ln, entries in rows:
-            vec = []
-            for e in entries:
-                if "." in e or "e" in e or "E" in e:
-                    raise ValueError(f"line {ln}: decimal {e!r} is not exact")
-                try:
-                    vec.append(parse_gaussian(e))
-                except (ValueError, ZeroDivisionError):  # "1/0" is the latter
-                    raise ValueError(
-                        f"line {ln}: cannot parse entry {e!r}") from None
-            out.append(vec)
-        return out
-
-    def try_numeric():
-        out = []
-        for ln, entries in rows:
-            vec = []
-            for e in entries:
-                try:
-                    z = complex(e.replace(" ", "").replace("i", "j"))
-                except ValueError:
-                    raise VectorFileError(
-                        f"line {ln}: cannot parse entry {e!r}") from None
-                if not cmath.isfinite(z):
-                    raise VectorFileError(
-                        f"line {ln}: entry {e!r} is not finite")
-                vec.append(z)
-            out.append(vec)
-        return out
+    def read(entry):
+        return [[entry(ln, e) for e in entries] for ln, entries in rows]
 
     if mode == "exact":
         try:
-            return ProjectorSet.from_exact(d, try_exact())
+            return ProjectorSet.from_exact(d, read(_exact_entry))
         except ValueError as exc:
             raise VectorFileError(f"exact parse failed: {exc}") from None
     if mode == "numeric":
-        return ProjectorSet.from_numeric(d, try_numeric())
+        return ProjectorSet.from_numeric(d, read(_numeric_entry))
     try:
-        return ProjectorSet.from_exact(d, try_exact())
+        return ProjectorSet.from_exact(d, read(_exact_entry))
     except ValueError:
-        return ProjectorSet.from_numeric(d, try_numeric())
+        return ProjectorSet.from_numeric(d, read(_numeric_entry))
+
+
+def _exact_entry(ln: int, e: str) -> GaussianRational:
+    if "." in e or "e" in e or "E" in e:
+        raise ValueError(f"line {ln}: decimal {e!r} is not exact")
+    try:
+        return parse_gaussian(e)
+    except (ValueError, ZeroDivisionError):  # "1/0" is the latter
+        raise ValueError(f"line {ln}: cannot parse entry {e!r}") from None
+
+
+def _numeric_entry(ln: int, e: str) -> complex:
+    try:
+        z = complex(e.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise VectorFileError(f"line {ln}: cannot parse entry {e!r}") from None
+    if not cmath.isfinite(z):
+        raise VectorFileError(f"line {ln}: entry {e!r} is not finite")
+    return z
 
 
 def write_vector_file(s: ProjectorSet, comment: str | None = None) -> str:
@@ -473,10 +468,8 @@ def _obstruction_scan(s: ProjectorSet, g: Graph) -> Obstruction | None:
             continue  # {i} maximal independent iff i sees every other vertex
         for x in _kernel_excluding(s, i):
             vi = s.vectors[i]
-            num = inner(vi, x).abs2()  # x†Π_i x · ⟨v,v⟩ · ⟨x,x⟩ pieces below
-            if num == 0:
-                continue
-            q = num / (inner(vi, vi).re * inner(x, x).re)
+            # x†Π_i x / ⟨x,x⟩ > 0: x ⊥ v_i would lie in the common kernel {0}
+            q = inner(vi, x).abs2() / (inner(vi, vi).re * inner(x, x).re)
             return Obstruction(
                 state=tuple(x),
                 independent_set=1 << i,

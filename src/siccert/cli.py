@@ -81,20 +81,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+_GRAPH_QUERIES = {
+    "chi": lambda g: chromatic_number(g).value,
+    "chif": lambda g: format_rational(fractional_chromatic_number(g).value),
+    "square-free": lambda g: "true" if is_square_free(g) else "false",
+    "connected": lambda g: "true" if is_connected(g) else "false",
+    "cone": lambda g: encode_graph6(cone(g)),
+}
+
+
 def cmd_graph(args) -> int:
-    g = parse_graph6(args.graph6)
-    if args.query == "chi":
-        print(chromatic_number(g).value)
-    elif args.query == "chif":
-        print(format_rational(fractional_chromatic_number(g).value))
-    elif args.query == "square-free":
-        print("true" if is_square_free(g) else "false")
-    elif args.query == "connected":
-        print("true" if is_connected(g) else "false")
-    elif args.query == "cone":
-        print(encode_graph6(cone(g)))
-    else:  # argparse choices make this unreachable
-        return EXIT_CONFIG
+    print(_GRAPH_QUERIES[args.query](parse_graph6(args.graph6)))
     return EXIT_OK
 
 
@@ -187,8 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_enumerate)
 
     pg = sub.add_parser("graph", help="exact queries on a graph6 string")
-    pg.add_argument("query", choices=["chi", "chif", "square-free",
-                                      "connected", "cone"])
+    pg.add_argument("query", choices=list(_GRAPH_QUERIES))
     pg.add_argument("graph6")
     pg.set_defaults(func=cmd_graph)
 

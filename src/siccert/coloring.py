@@ -1,11 +1,11 @@
 """Exact chromatic and fractional chromatic numbers.
 
-The chromatic number comes from branch and bound over color classes
-with a clique lower bound and greedy upper bound.  The fractional
-chromatic number is the optimum of the fractional-clique LP (maximize
-total vertex weight subject to weight-sum ≤ 1 on every maximal
-independent set), solved exactly with lazy constraint generation and
-a strong-duality certificate.
+The chromatic number comes from branch and bound over color classes,
+starting from the clique number: the largest independent set of the
+complement.  The fractional chromatic number is the optimum of the
+fractional-clique LP (maximize total vertex weight subject to
+weight-sum ≤ 1 on every maximal independent set), solved exactly with
+lazy constraint generation and a strong-duality certificate.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from fractions import Fraction
 from .exact import LinearProgram, _BlandPath, lp_solve_exact, over_lcm
 from .graphs import (
     Graph,
+    complement,
     heaviest_maximal_independent_set,
     is_connected,
     iter_bits,
+    max_weight_independent_set,
     maximal_set_per_vertex,
 )
 
@@ -28,25 +30,10 @@ def _degree_order(g: Graph) -> list[int]:
 
 
 def max_clique(g: Graph) -> tuple[int, int]:
-    """(size, vertex mask) of a maximum clique; deterministic."""
-    order = _degree_order(g)
-    best_size = 0
-    best_mask = 0
-
-    def extend(mask: int, size: int, cand: int):
-        nonlocal best_size, best_mask
-        if size > best_size:
-            best_size = size
-            best_mask = mask
-        if size + cand.bit_count() <= best_size:
-            return
-        for v in order:
-            if cand >> v & 1:
-                extend(mask | (1 << v), size + 1, cand & g.rows[v])
-                cand &= ~(1 << v)
-
-    extend(0, 0, g.vertex_mask())
-    return best_size, best_mask
+    """(size, vertex mask) of a maximum clique: the largest independent
+    set of the complement; deterministic."""
+    mask, size = max_weight_independent_set(complement(g), (1,) * g.n)
+    return size, mask
 
 
 def is_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
@@ -195,9 +182,9 @@ class NecessaryConditions:
 def sic_necessary_conditions(g: Graph, d: int) -> NecessaryConditions:
     """Both graph conditions a projector set in dimension d must meet:
     χ(g) > d and χ_f(g) > d."""
-    chi = chromatic_number(g).value
-    chi_f = fractional_chromatic_number(g).value
-    return NecessaryConditions(chi_ok=chi > d, chi_f_ok=chi_f > d)
+    return NecessaryConditions(
+        chi_ok=chi_greater_than(g, d),
+        chi_f_ok=fractional_chromatic_number(g).value > d)
 
 
 def rh_sic_graph_test(g: Graph, d: int, r: int = 1) -> bool:

@@ -40,6 +40,7 @@ from .graphs import (
     encode_graph6,
     is_connected,
     is_square_free,
+    iter_bits,
 )
 from .runner import check_workers, ordered_results
 
@@ -289,15 +290,7 @@ def brute_force_enumerate(n: int, *, square_free: bool = False,
     seen: set[tuple[int, ...]] = set()
     out: list[Graph] = []
     for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            i, j = pairs[low.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            m ^= low
-        g = Graph(n, tuple(rows))
+        g = Graph.from_edges(n, (pairs[b] for b in iter_bits(mask)))
         if square_free and not is_square_free(g):
             continue
         if connected and not is_connected(g):

@@ -601,7 +601,8 @@ def psd_check_exact(m: Matrix) -> PsdResult:
     if not gm_is_hermitian(m):
         raise ValueError("matrix is not Hermitian")
 
-    s = [[m[i][j] for j in range(d)] for i in range(d)]  # reduced matrix
+    # reduced matrix; only its lower triangle and diagonal are kept
+    s = [[m[i][j] for j in range(d)] for i in range(d)]
     lower = gm_identity(d)
     pivots: list[Fraction] = [Fraction(0)] * d
 
@@ -652,7 +653,6 @@ def psd_check_exact(m: Matrix) -> PsdResult:
                 continue
             for j in range(k + 1, i + 1):
                 s[i][j] = s[i][j] - lik * dk * lower[j][k].conjugate()
-                s[j][i] = s[i][j].conjugate()
 
     return PsdResult(True, pivots=tuple(pivots),
                      lower=tuple(tuple(r) for r in lower))

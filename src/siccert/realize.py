@@ -295,6 +295,11 @@ def verify_realization(g: Graph, vectors, exact: bool,
         raise ValueError("vectors must form a 2-d array")
     if not np.isfinite(v).all():
         return False  # a NaN would fail every rejecting test below
+    with np.errstate(over="ignore"):
+        big = np.isinf(np.linalg.norm(v, axis=1, keepdims=True))
+    # first divide a row whose squared norm overflows by its largest part
+    part = np.maximum(abs(v.real), abs(v.imag)).max(axis=1, keepdims=True)
+    v = v / np.where(big, part, 1.0)
     norms = np.linalg.norm(v, axis=1)
     if np.min(norms) < 1e-12:
         return False

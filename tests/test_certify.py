@@ -17,6 +17,7 @@ from siccert.certify import (
     DuplicateProjectorError,
     ProjectorSet,
     VectorFileError,
+    _certified,
     _kernel_excluding,
     certify_sic,
     emit_inequality,
@@ -46,6 +47,13 @@ YO_VECTORS = [
 
 def yu_oh() -> ProjectorSet:
     return ProjectorSet.from_exact(3, YO_VECTORS)
+
+
+# an exact d = 3 set that neither the obstruction scan nor the
+# fractional-coloring weights decide, so certify_sic reaches its
+# cutting planes
+LADDER_VECTORS = [(-1, -1, -1), (1, 0, 1), (1, 1, 0), (1, 1, 2), (1, 2, 1),
+                  (2, 0, -1)]
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -631,3 +639,43 @@ class TestCertifyUndecided:
         cert = certify_sic(s, max_rounds=12)
         assert cert.status == "UNDECIDED"
         assert cert.rounds > 0
+
+    def test_round_limit(self):
+        s = ProjectorSet.from_exact(3, LADDER_VECTORS)
+        cert = certify_sic(s, max_rounds=3)
+        assert cert.status == "UNDECIDED"
+        assert cert.rounds == 3
+        assert cert.diagnostics.startswith("no numeric convergence in 3 rounds")
+
+    def test_rationalization_ladder_fails(self, monkeypatch):
+        # zero weights meet y < 1 but not the operator condition, at
+        # every rung and in their orbit average
+        import siccert.certify as certify_module
+        monkeypatch.setattr(certify_module, "_cutting_planes",
+                            lambda s, g, max_rounds: (np.zeros(s.n), 2, 1.0, ""))
+        cert = certify_sic(ProjectorSet.from_exact(3, LADDER_VECTORS))
+        assert cert.status == "UNDECIDED"
+        assert cert.rounds == 2
+        assert cert.diagnostics.endswith(
+            "exact verification failed on the rationalization ladder")
+
+
+class TestCertifiedCheck:
+    """_certified returns None unless w or its orbit average passes."""
+
+    def setup_method(self):
+        self.s = yu_oh()
+        self.g = orthogonality_graph(self.s)
+
+    def test_negative_weight(self):
+        w = [Fraction(-1)] * self.s.n
+        assert _certified(self.s, self.g, w, 0) is None
+
+    def test_bound_not_below_one(self):
+        w = [Fraction(1)] * self.s.n
+        assert _certified(self.s, self.g, w, 0) is None
+
+    def test_operator_condition_fails(self):
+        # y = 5/100 < 1, but Σ w_i Π_i = (13/300)·𝟙 is far below 𝟙
+        w = [Fraction(1, 100)] * self.s.n
+        assert _certified(self.s, self.g, w, 0) is None

@@ -164,6 +164,27 @@ class TestCertify:
         assert out.splitlines()[0] == "status UNDECIDED"
         assert "not below 1" in out
 
+    @pytest.mark.parametrize("rows, twin", [
+        ("1e200 1e200 0\n1 0 0\n0 0 1", "1 1 0\n1 0 0\n0 0 1"),
+        ("1e-200 0 0\n0 1 0\n0 0 1", "1 0 0\n0 1 0\n0 0 1"),
+    ], ids=["overflow", "underflow"])
+    def test_extreme_scale_matches_twin(self, capsys, tmp_path, rows, twin):
+        # a row whose squared norm over- or underflows once normalized
+        # to zero or NaN: an LP failure, or exit 2 on a valid input
+        from siccert.certify import orthogonality_graph, parse_vector_file
+        f, t = tmp_path / "far.vec", tmp_path / "twin.vec"
+        f.write_text(f"3\n{rows}\n")
+        t.write_text(f"3\n{twin}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(capsys, "certify", str(f))
+            graph = orthogonality_graph(parse_vector_file(f.read_text()),
+                                        tol=1e-8)
+        assert got[0] == 4
+        assert got == run(capsys, "certify", "--numeric", str(t))
+        assert graph == orthogonality_graph(
+            parse_vector_file(t.read_text(), mode="numeric"), tol=1e-8)
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/x.vec")
         assert code == 2

@@ -79,6 +79,21 @@ class TestChromatic:
         assert max_clique(Graph.cycle(5))[0] == 2
         assert max_clique(PETERSEN)[0] == 2
 
+    def test_max_clique_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.random(), rng)
+            size, mask = max_clique(g)
+            verts = [v for v in range(n) if mask >> v & 1]
+            assert len(verts) == size
+            assert all(g.has_edge(u, v) for i, u in enumerate(verts)
+                       for v in verts[i + 1:])
+            G = nx.Graph(list(g.edges()))
+            G.add_nodes_from(range(n))
+            assert nx.max_weight_clique(G, weight=None)[1] == size
+
     def test_brute_force_agreement(self):
         rng = random.Random(8)
         for _ in range(60):
@@ -218,6 +233,15 @@ class TestSicScreening:
         assert twelve.chi_ok and not twelve.chi_f_ok
         neither = sic_necessary_conditions(Graph.cycle(6), 3)
         assert not neither.chi_ok and not neither.chi_f_ok
+
+    def test_chi_ok_agrees_with_chromatic_number(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng.random(), rng)
+            chi = chromatic_number(g).value
+            for d in (2, 3, 4):
+                assert sic_necessary_conditions(g, d).chi_ok == (chi > d)
 
     def test_rh_graph_test(self):
         assert rh_sic_graph_test(YU_OH, 3)

@@ -408,6 +408,41 @@ class TestVerify:
             assert not verify_realization(Graph.complete(4), vectors,
                                           exact=False)
 
+    @pytest.mark.parametrize("g, vectors", [
+        (Graph.complete(4), [(1e200, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (Graph.complete(2), [(1e200, 0, 0)] * 2),
+    ], ids=["K4", "K2-parallel"])
+    def test_numeric_overflowing_norm_fails(self, g, vectors):
+        # the squared norm of 1e200 overflows; the row once normalized
+        # to zero and so passed as orthogonal to every other row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not verify_realization(g, vectors, exact=False)
+
+    def test_numeric_huge_scale_still_verifies(self):
+        from siccert.certify import ProjectorSet, orthogonality_graph
+        g = orthogonality_graph(ProjectorSet.from_exact(3, YO_VECTORS))
+        vectors = np.array(YO_VECTORS, dtype=complex) * 1e200
+        before = vectors.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_realization(g, vectors, exact=False)
+        assert (vectors == before).all()  # the caller's array is kept
+
+    def test_numeric_zero_row_fails(self):
+        assert not verify_realization(Graph.path(2), [(1, 0), (0, 1e-13)],
+                                      exact=False)
+
+    def test_numeric_near_parallel_non_edge_fails(self):
+        assert not verify_realization(Graph.empty(2),
+                                      [(1, 0, 0), (1, 1e-9, 0)],
+                                      exact=False)
+
+    def test_numeric_needs_a_2d_array(self):
+        with pytest.raises(ValueError, match="2-d"):
+            verify_realization(Graph.path(2), np.zeros((2, 3, 1)),
+                               exact=False)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify_realization(Graph.path(3), [(1, 0), (0, 1)], exact=True)
