@@ -112,8 +112,7 @@ class ProjectorSet:
     def numeric_vectors(self) -> np.ndarray:
         """Unit-normalized vectors as a complex (n, d) array."""
         import numpy as np
-        arr = np.array([[complex(x) for x in v] for v in self.vectors],
-                       dtype=complex)
+        arr = np.array([_complex_row(v) for v in self.vectors], dtype=complex)
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(arr, axis=1, keepdims=True)
         # first divide a row whose squared norm under- or overflows by its largest part
@@ -151,6 +150,19 @@ class ProjectorSet:
                     ia[b] += fi * re[b] - fr * im[b]
         return [[GaussianRational(Fraction(x, den), Fraction(y, den))
                  for x, y in zip(ra, ia)] for ra, ia in zip(sre, sim)]
+
+
+def _complex_row(v) -> list[complex]:
+    """complex() of each entry of v, or of v divided exactly by its largest
+    part if an entry overflows or a nonzero one underflows to 0."""
+    try:
+        row = [complex(x) for x in v]
+        if all(z or not x for z, x in zip(row, v)):
+            return row
+    except OverflowError:
+        pass
+    top = max(max(abs(x.re), abs(x.im)) for x in v)
+    return [complex(x / top) for x in v]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .graphs import (
     Graph,
     complement,
     heaviest_maximal_independent_set,
-    is_connected,
     iter_bits,
     max_weight_independent_set,
     maximal_set_per_vertex,
@@ -43,8 +42,6 @@ def is_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
     color symmetry is broken by allowing at most one brand-new color
     per step.
     """
-    if k <= 0:
-        return None if g.n else ()
     order = _degree_order(g)
     color_mask = [0] * k  # vertices holding each color
     assigned: dict[int, int] = {}
@@ -153,24 +150,15 @@ def _indicator(s: int, n: int) -> tuple[int, ...]:
 
 
 def chi_greater_than(g: Graph, d: int) -> bool:
-    """Exact χ(g) > d, with cheap shortcuts before the search.
-
-    A graph needs max degree ≥ d to beat d colors, and a connected
-    graph with max degree exactly d only does when it is complete on
-    d+1 vertices or an odd cycle at d=2 (Brooks bound)."""
-    if d <= 0:
-        return g.n >= 1
-    if g.n <= d:
-        return False
-    degs = [g.degree(v) for v in range(g.n)]
-    dmax = max(degs)
-    if dmax < d:
-        return False
-    if dmax == d and is_connected(g):
-        complete = g.n == d + 1 and all(dg == d for dg in degs)
-        odd_cycle = d == 2 and g.n % 2 == 1 and all(dg == 2 for dg in degs)
-        return complete or odd_cycle
-    return is_colorable(g, d) is None
+    """Exact χ(g) > d.  Vertices with fewer than d neighbours left are
+    peeled until none is; a graph that peels away entirely is
+    d-degenerate, so d-colorable (Szekeres and Wilf, 1968), and any
+    other graph is decided by the colorability search."""
+    left = (1 << g.n) - 1
+    while low := sum(1 << v for v in iter_bits(left)
+                     if (g.rows[v] & left).bit_count() < d):
+        left ^= low
+    return bool(left) and is_colorable(g, d) is None
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,6 @@ class GaussianRational:
         o = GaussianRational.of(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) - self
-
     def __mul__(self, other) -> "GaussianRational":
         o = GaussianRational.of(other)
         return GaussianRational(self.re * o.re - self.im * o.im,
@@ -123,9 +120,6 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational((self.re * o.re + self.im * o.im) / n,
                                 (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) / self
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from multiprocessing import Pool
 
 
 def _usable_cpus() -> int:
@@ -13,6 +12,12 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool, imported on the first call."""
+    from multiprocessing import Pool
+    return Pool(processes)
 
 
 def check_workers(workers: int) -> None:

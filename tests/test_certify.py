@@ -1,6 +1,7 @@
 """Projector sets, vector files, and the SIC decision pipeline."""
 
 import random
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -101,6 +102,30 @@ class TestProjectorSet:
         m = s.weighted_sum([Fraction(1)] * 3)
         assert all(m[i][i].re == 1 for i in range(3))
         assert all(not m[i][j] for i in range(3) for j in range(3) if i != j)
+
+    @pytest.mark.parametrize("name", ["yu_oh_d3.vec", "cone_yu_oh_d4.vec",
+                                      "basis_d3.vec"])
+    def test_numeric_vectors_in_range_unchanged(self, name):
+        # a row inside the float range is complex() of each entry over
+        # its norm, bit for bit
+        with open(fixture_path(name)) as fh:
+            s = parse_vector_file(fh.read())
+        arr = np.array([[complex(x) for x in v] for v in s.vectors])
+        want = arr / np.linalg.norm(arr, axis=1, keepdims=True)
+        assert s.numeric_vectors().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 400), 10 ** 400],
+                             ids=["tiny", "huge"])
+    def test_numeric_vectors_exact_outside_float_range(self, scale):
+        # complex() of each entry would under- or overflow; the row is
+        # divided exactly by its largest part first
+        scaled = [tuple(scale * x for x in LADDER_VECTORS[0]),
+                  *LADDER_VECTORS[1:]]
+        want = ProjectorSet.from_exact(3, LADDER_VECTORS).numeric_vectors()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ProjectorSet.from_exact(3, scaled).numeric_vectors()
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

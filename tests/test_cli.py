@@ -185,6 +185,23 @@ class TestCertify:
         assert graph == orthogonality_graph(
             parse_vector_file(t.read_text(), mode="numeric"), tol=1e-8)
 
+    def test_exact_entry_outside_float_range(self, capsys, tmp_path):
+        # row 0 scaled by 10^-400 or 10^400 is the same ray, though
+        # complex() of its entries would under- or overflow
+        rows = ["1 0 1", "1 1 0", "1 1 2", "1 2 1", "2 0 -1"]
+        big = 10 ** 400
+        got = {}
+        for name, first in [("plain", "-1 -1 -1"),
+                            ("tiny", f"-1/{big} -1/{big} -1/{big}"),
+                            ("huge", f"-{big} -{big} -{big}")]:
+            f = tmp_path / f"{name}.vec"
+            f.write_text("3\n" + "\n".join([first] + rows) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got[name] = run(capsys, "certify", str(f))
+        assert got["plain"][0] == 4
+        assert got["tiny"] == got["huge"] == got["plain"]
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/x.vec")
         assert code == 2

@@ -16,7 +16,10 @@ from siccert.coloring import (
     rh_sic_graph_test,
     sic_necessary_conditions,
 )
-from siccert.enumeration import THIRTEEN_CHI4_G6
+from siccert.enumeration import (
+    THIRTEEN_CHI4_G6,
+    enumerate_square_free_connected,
+)
 from siccert.graphs import (
     Graph,
     cone,
@@ -120,14 +123,35 @@ class TestChromatic:
 
 class TestChiGreaterThan:
     def test_shortcuts(self):
-        assert chi_greater_than(Graph.complete(5), 4)  # complete Brooks case
-        assert chi_greater_than(Graph.cycle(7), 2)  # odd cycle Brooks case
+        assert chi_greater_than(Graph.complete(5), 4)  # its own 4-core
+        assert chi_greater_than(Graph.cycle(7), 2)  # odd cycle: its 2-core
         assert not chi_greater_than(Graph.cycle(8), 2)
-        assert not chi_greater_than(Graph.path(9), 3)  # max degree < d
+        assert not chi_greater_than(Graph.path(9), 3)  # peels away
         assert not chi_greater_than(PETERSEN, 3)
         assert chi_greater_than(YU_OH, 3)
         assert not chi_greater_than(Graph.empty(3), 1)
         assert chi_greater_than(Graph.complete(2), 1)
+
+    def test_agrees_with_the_search(self):
+        # peeling vertices of degree < d decides nothing the
+        # colorability search would not: every class with n <= 10 and
+        # seeded random graphs, at every d from -1 to 5
+        graphs = []
+        enumerate_square_free_connected(10, sink=graphs.append)
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            graphs.append(random_graph(n, rng.random(), rng))
+        for g in graphs:
+            for d in range(-1, 6):
+                assert chi_greater_than(g, d) == (is_colorable(g, d) is None)
+
+    def test_no_colors(self):
+        # no graph (n >= 1) has a coloring with 0 or fewer colors
+        for g in (Graph.complete(1), Graph.empty(3), PETERSEN):
+            assert is_colorable(g, 0) is None
+            assert is_colorable(g, -1) is None
+            assert chi_greater_than(g, 0)
 
     def test_agrees_with_chromatic_number(self):
         rng = random.Random(6)

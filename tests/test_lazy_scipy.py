@@ -1,6 +1,7 @@
 """scipy.optimize and numpy are loaded only by the numeric paths: the
 numeric cutting planes, the numeric orthogonality graph and quantum
-values, and the realization search.
+values, and the realization search.  multiprocessing is loaded only
+when a process pool starts.
 
 Importing them would take most of the time and memory of `import
 siccert`, so the exact commands must never load them.  Each boundary
@@ -37,7 +38,7 @@ if argv:
 print(json.dumps({"code": code, **{
     top: sorted(m for m in sys.modules
                 if m == top or m.startswith(top + "."))
-    for top in ("scipy", "numpy")}}))
+    for top in ("scipy", "numpy", "multiprocessing")}}))
 """
 
 POOL = """
@@ -54,12 +55,15 @@ runner._usable_cpus = lambda: 2  # a real pool even on one usable CPU
 g = parse_graph6(sys.argv[1])
 before = "scipy.optimize" in sys.modules
 numpy_before = "numpy" in sys.modules
+mp_before = "multiprocessing" in sys.modules
 pooled = find_realization(g, 3, restarts=4, workers=2)
 after = "scipy.optimize" in sys.modules
 numpy_after = "numpy" in sys.modules
+mp_after = "multiprocessing" in sys.modules
 serial = find_realization(g, 3, restarts=4, workers=1)
 print(json.dumps({"before": before, "after": after,
                   "numpy_before": numpy_before, "numpy_after": numpy_after,
+                  "mp_before": mp_before, "mp_after": mp_after,
                   "pooled": key(pooled), "serial": key(serial)}))
 """
 
@@ -85,10 +89,11 @@ def fresh(script: str, *args: str) -> dict:
 ], ids=["import", "enumerate", "graph-chif", "certify-exact",
         "inequality-exact"])
 def test_exact_paths_load_no_scipy(argv):
-    # and no numpy either
+    # and no numpy or multiprocessing either
     got = fresh(BOUNDARY, json.dumps(argv))
     assert got["scipy"] == []
     assert got["numpy"] == []
+    assert got["multiprocessing"] == []
     assert got["code"] == (0 if argv else None)
 
 
@@ -109,6 +114,9 @@ def test_search_loads_scipy_optimize_before_the_pool():
     assert got["after"]
     assert not got["numpy_before"]
     assert got["numpy_after"]
+    # multiprocessing loads with the first pool
+    assert not got["mp_before"]
+    assert got["mp_after"]
     assert got["pooled"] == got["serial"]
 
 
