@@ -42,7 +42,7 @@ from .graphs import (
     is_square_free,
     iter_bits,
 )
-from .runner import check_workers, ordered_results
+from .runner import as_integer, check_workers, ordered_results
 
 MAX_ENUM_N = 13
 SEED_LEVEL = 8
@@ -254,6 +254,9 @@ def enumerate_square_free_connected(
     back in seed order for any worker count, and sink gets a seed's
     graphs, in this process, once that seed and all before it are done.
     """
+    n_max = as_integer(n_max, "n_max")
+    if chi_gt is not None:
+        chi_gt = as_integer(chi_gt, "chi_gt")
     if not 1 <= n_max <= MAX_ENUM_N:
         raise ValueError(f"n_max must be within 1..{MAX_ENUM_N}")
     check_workers(workers)

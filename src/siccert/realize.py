@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .exact import GaussianRational, inner
 from .graphs import Graph
-from .runner import check_workers, ordered_results
+from .runner import as_integer, check_workers, ordered_results
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,10 +248,7 @@ def find_realization(g: Graph, d: int, field: str = "real",
         raise ValueError("tol and delta must be positive and finite")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
-    try:
-        seed = operator.index(seed)  # a numpy integer becomes its int
-    except TypeError:
-        raise TypeError(f"seed must be an integer, not {seed!r}") from None
+    seed = as_integer(seed, "seed")
     if seed < 0:
         raise ValueError("seed must be at least 0")
     check_workers(workers)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 
 
@@ -20,9 +21,19 @@ def Pool(processes: int):
     return Pool(processes)
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int (a numpy integer becomes its int); a TypeError
+    that names the argument for anything else, such as a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
+
+
 def check_workers(workers: int) -> None:
-    """Raise ValueError unless workers is a usable worker count."""
-    if workers < 1:
+    """Raise TypeError or ValueError unless workers is a usable worker
+    count."""
+    if as_integer(workers, "workers") < 1:
         raise ValueError("workers must be at least 1")
 
 

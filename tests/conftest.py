@@ -4,6 +4,7 @@ output capture enabled, and holds the oracles that several test
 modules check against."""
 
 from siccert.exact import GR_ONE, GR_ZERO
+from siccert.graphs import Graph
 
 acceptance_lines: list[str] = []
 
@@ -20,6 +21,33 @@ def is_independent(g, s: int) -> bool:
     if s >> g.n:
         raise ValueError("vertex mask names vertices outside the graph")
     return all(not g.rows[v] & s for v in range(g.n) if s >> v & 1)
+
+
+def random_graph(n: int, p: float, rng) -> Graph:
+    """Each pair an edge with probability p; rng is a random.Random or a
+    numpy Generator (only its random() is called)."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def random_square_free(n: int, rng) -> Graph:
+    """Random edges kept while no two vertices share two neighbors."""
+    nbrs = [set() for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    for i, j in pairs[:rng.randint(0, len(pairs))]:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+        if any(len(nbrs[u] & nbrs[v]) > 1
+               for u in range(n) for v in range(u + 1, n)):
+            nbrs[i].discard(j)
+            nbrs[j].discard(i)
+    return Graph(n, tuple(sum(1 << u for u in nb) for nb in nbrs))
 
 
 def gauss_jordan_nullspace(rows, d: int) -> list:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph, random_square_free
 from siccert.canon import (
     automorphism_orbits,
     canonical_graph,
@@ -14,16 +15,6 @@ from siccert.canon import (
     equitable_partition,
 )
 from siccert.graphs import Graph, iter_bits, parse_graph6
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -108,6 +99,11 @@ class TestAutomorphisms:
         assert res.orbits == (0b1111111,)
         assert all(res.orbit_of(v) == 0b1111111 for v in range(7))
 
+    def test_orbit_of_outside_vertex(self):
+        with pytest.raises(ValueError) as exc:
+            canonicalize(Graph.empty(3)).orbit_of(5)
+        assert str(exc.value) == "vertex 5 out of range"
+
     def test_orbits_path(self):
         # path 0-1-2-3: ends {0,3} and middles {1,2}
         orbits = set(automorphism_orbits(Graph.path(4)))
@@ -136,21 +132,6 @@ class TestAutomorphisms:
             for v in range(n):
                 mine = next(o for o in orbits if o >> v & 1)
                 assert mine == sum(1 << u for u in full[v])
-
-
-def random_square_free(n: int, rng: random.Random) -> Graph:
-    """Random edges kept while no two vertices share two neighbors."""
-    nbrs = [set() for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    for i, j in pairs[:rng.randint(0, len(pairs))]:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-        if any(len(nbrs[u] & nbrs[v]) > 1
-               for u in range(n) for v in range(u + 1, n)):
-            nbrs[i].discard(j)
-            nbrs[j].discard(i)
-    return Graph(n, tuple(sum(1 << u for u in nb) for nb in nbrs))
 
 
 class TestAgainstNetworkx:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_jordan_nullspace
+from conftest import gauss_jordan_nullspace, random_graph
 from siccert import fixture_path
 from siccert.canon import canonical_key, canonicalize
 from siccert.certify import (
@@ -55,16 +55,6 @@ def yu_oh() -> ProjectorSet:
 # cutting planes
 LADDER_VECTORS = [(-1, -1, -1), (1, 0, 1), (1, 1, 0), (1, 1, 2), (1, 2, 1),
                   (2, 0, -1)]
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
 
 
 def evaluate_assignment(g: Graph, w, assignment: int) -> Fraction:
@@ -217,6 +207,11 @@ class TestVectorFiles:
         assert s.exact
         assert s.vectors[0][0] == GaussianRational(Fraction(1, 2),
                                                    Fraction(1, 3))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError) as exc:
+            parse_vector_file("3\n1 0 0\n", mode="bogus")
+        assert str(exc.value) == "unknown mode 'bogus'"
 
 
 class TestOrthogonalityGraph:
@@ -436,6 +431,14 @@ class TestBounds:
             quantum_value(s, w, e1)
         with pytest.raises(ValueError, match=message):
             quantum_value_floor(s, w)
+
+    def test_sweep_guards(self):
+        with pytest.raises(ValueError) as exc:
+            noncontextual_bound_sweep(Graph.cycle(5), [1] * 4)
+        assert str(exc.value) == "weight count does not match vertex count"
+        with pytest.raises(ValueError) as exc:
+            noncontextual_bound_sweep(Graph.empty(21), [1] * 21)
+        assert str(exc.value) == "sweep is guarded at 20 vertices"
 
 
 class TestCertifyYuOh:
@@ -683,6 +686,15 @@ class TestCertifyUndecided:
         assert cert.rounds == 2
         assert cert.diagnostics.endswith(
             "exact verification failed on the rationalization ladder")
+
+    def test_lp_solver_failure(self, monkeypatch):
+        import siccert.certify as certify_module
+        monkeypatch.setattr(certify_module, "linprog", lambda *a, **k:
+                            SimpleNamespace(success=False, message="stub"))
+        arr = [tuple(float(x) for x in v) for v in YO_VECTORS]
+        cert = certify_sic(ProjectorSet.from_numeric(3, arr))
+        assert (cert.status, cert.rounds, cert.diagnostics) == \
+            ("UNDECIDED", 0, "LP solver failed: stub")
 
 
 class TestCertifiedCheck:

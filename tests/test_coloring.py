@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_independent
+from conftest import is_independent, random_graph
 from siccert.coloring import (
     chi_greater_than,
     chromatic_number,
@@ -34,16 +34,6 @@ PETERSEN = Graph.from_edges(10, [
 
 YU_OH = parse_graph6("L?AB?vOLDPHa`o")
 TWELVE = parse_graph6("K_GTCceEQHHB")
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
 
 
 def check_coloring(g: Graph, coloring, k: int):

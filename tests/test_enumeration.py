@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_square_free
 from siccert import enumeration, fixture_path
 from siccert.canon import canonical_key, canonicalize, equitable_partition
 from siccert.coloring import chromatic_number, fractional_chromatic_number
@@ -17,7 +18,6 @@ from siccert.enumeration import (
     enumerate_square_free_connected,
 )
 from siccert.graphs import (
-    Graph,
     encode_graph6,
     is_connected,
     is_square_free,
@@ -88,6 +88,37 @@ class TestSmallCensus:
             enumerate_square_free_connected(14)
         with pytest.raises(ValueError, match="workers"):
             enumerate_square_free_connected(3, workers=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_max": 8.5}, "n_max must be an integer, not 8.5"),
+        ({"n_max": "9"}, "n_max must be an integer, not '9'"),
+        ({"n_max": 10, "chi_gt": 2.5}, "chi_gt must be an integer, not 2.5"),
+        ({"n_max": 9, "workers": 1.5}, "workers must be an integer, not 1.5"),
+        ({"n_max": 9, "workers": 2.5}, "workers must be an integer, not 2.5"),
+        ({"n_max": 9, "workers": "2"}, "workers must be an integer, not '2'"),
+    ])
+    def test_non_integer_arguments(self, kwargs, message, monkeypatch):
+        # rejected by name before any level grows or any pool starts:
+        # n_max = 8.5 grew the first seed without a bound, chi_gt = 2.5
+        # failed inside the colorability search, and workers = 1.5
+        # reached multiprocessing.Pool
+        def no_work(*args, **kwargs):
+            raise AssertionError("the census started")
+
+        monkeypatch.setattr(enumeration, "_expand", no_work)
+        monkeypatch.setattr(enumeration, "ordered_results", no_work)
+        with pytest.raises(TypeError) as exc:
+            enumerate_square_free_connected(**kwargs)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_arguments(self):
+        np = pytest.importorskip("numpy")
+        plain = enumerate_square_free_connected(9, chi_gt=2)
+        report = enumerate_square_free_connected(np.int64(9),
+                                                 chi_gt=np.int64(2),
+                                                 workers=np.int64(2))
+        assert report.counts == plain.counts == COUNTS
+        assert report.filtered == plain.filtered
 
 
 class TestChiFilter:
@@ -171,20 +202,6 @@ class TestKnownThirteen:
         g = parse_graph6(YU_OH_G6)
         assert g.edge_count() == 24
         assert encode_graph6(g) == YU_OH_G6
-
-
-def random_square_free(n: int, rng: random.Random) -> Graph:
-    """Random edges, each kept only if the graph stays square-free."""
-    rows = [0] * n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    for i, j in pairs[:rng.randint(0, len(pairs))]:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        if not is_square_free(Graph(n, tuple(rows))):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-    return Graph(n, tuple(rows))
 
 
 class TestDegreeReject:

@@ -80,6 +80,11 @@ class TestGaussianRational:
         assert complex(a) == complex(0.5, 1 / 3)
         assert bool(GR_ZERO) is False and bool(a) is True
 
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError) as exc:
+            GaussianRational.of(1) / 0
+        assert str(exc.value) == "division by zero Gaussian rational"
+
     def test_format_parse_round_trip(self):
         rng = random.Random(2)
         for _ in range(300):
@@ -96,6 +101,10 @@ class TestGaussianRational:
         assert parse_gaussian("-2") == GaussianRational(Fraction(-2), Fraction(0))
         with pytest.raises(ValueError):
             parse_gaussian("")
+
+    def test_parse_pure_imaginary(self):
+        assert parse_gaussian("1/2i") == GaussianRational(Fraction(0),
+                                                          Fraction(1, 2))
 
     def test_inner_conjugates_first_slot(self):
         u = [GaussianRational(Fraction(0), Fraction(1)), GR_ZERO]
@@ -486,6 +495,11 @@ class TestPsd:
         assert psd_check_exact(ident).psd
         zero = [[GR_ZERO, GR_ZERO], [GR_ZERO, GR_ZERO]]
         assert psd_check_exact(zero).psd
+
+    def test_not_square(self):
+        with pytest.raises(ValueError) as exc:
+            psd_check_exact([[GR_ONE, GR_ZERO]])
+        assert str(exc.value) == "matrix is not square"
 
     def test_negative_definite(self):
         m = [[GaussianRational(Fraction(-1), Fraction(0))]]

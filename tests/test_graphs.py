@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_independent
+from conftest import is_independent, random_graph
 from siccert.graphs import (
     CapacityError,
     Graph,
@@ -34,16 +34,6 @@ def graph_from_mask(n: int, mask: int) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         mask >>= 1
-    return Graph(n, tuple(rows))
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
     return Graph(n, tuple(rows))
 
 
@@ -109,6 +99,11 @@ class TestGraph6:
         assert encode_graph6(Graph.empty(5)) == "D??"
         # header form accepted
         assert parse_graph6(">>graph6<<C~").rows == Graph.complete(4).rows
+
+    def test_zero_vertices(self):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("?")
+        assert str(exc.value) == "vertex count 0 outside 1..62 (byte offset 0)"
 
     def test_round_trip_exhaustive_small(self):
         # every labeled graph on up to 5 vertices
@@ -370,6 +365,11 @@ class TestDerivedGraphs:
         assert c.edge_count() == 8
         assert cone(Graph.complete(3)).rows == Graph.complete(4).rows
 
+    def test_cone_guard(self):
+        with pytest.raises(ValueError) as exc:
+            cone(Graph.empty(64))
+        assert str(exc.value) == "cone would exceed 64 vertices"
+
     def test_induced(self):
         g = Graph.cycle(5)
         h = induced_subgraph(g, 0b00111)  # path 0-1-2
@@ -379,3 +379,8 @@ class TestDerivedGraphs:
     def test_induced_outside_vertices(self, mask):
         with pytest.raises(ValueError, match="outside the graph"):
             induced_subgraph(Graph.path(3), mask)
+
+    def test_induced_empty_mask(self):
+        with pytest.raises(ValueError) as exc:
+            induced_subgraph(Graph.empty(3), 0)
+        assert str(exc.value) == "induced subgraph needs at least one vertex"

@@ -1,11 +1,12 @@
-"""Every name a module imports is used in that module, every private
-module-level name is read somewhere in the package, every public
-module-level function is exported or called, and only exact.py takes
-rationals apart.
+"""siccert exports the same names as before its submodules loaded on
+first use, every name a module imports is used in that module, every
+private module-level name is read somewhere in the package, every
+public module-level function is exported or called, and only exact.py
+takes rationals apart.
 
-Stdlib-only lints.  For imports, each module of the package except
-__init__.py (which imports to re-export) is parsed, and a name bound by
-an import statement that no other node of the module reads is reported.
+Stdlib-only lints.  For imports, each module of the package is parsed,
+and a name bound by an import statement that no other node of the
+module reads is reported.
 For private names, a function, class or constant defined at the top of
 any module under a name with one leading underscore is reported when no
 module of the package reads that name, bare or as an attribute.  For
@@ -18,6 +19,7 @@ exact.over_lcm is the one place rationals become integer numerators,
 and the one that forces Python ints."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -26,7 +28,65 @@ import pytest
 import siccert
 
 PACKAGE = sorted(Path(siccert.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+
+# siccert.__all__ when __init__.py imported every submodule itself
+ALL = [
+    "CapacityError", "Graph", "Graph6Error", "Inequality", "LinearProgram",
+    "ProjectorSet", "RealizationResult", "SicCertificate",
+    "automorphism_orbits", "brute_force_enumerate", "canonical_graph",
+    "canonical_key", "canonicalize", "certify_sic", "chi_greater_than",
+    "chromatic_number", "complement", "cone", "emit_inequality",
+    "encode_graph6", "enumerate_square_free_connected", "find_realization",
+    "fixture_path", "fractional_chromatic_number", "induced_subgraph",
+    "is_connected", "is_square_free", "lp_solve_exact",
+    "maximal_independent_sets", "noncontextual_bound", "orthogonality_graph",
+    "parse_graph6", "parse_vector_file", "psd_check_exact", "quantum_value",
+    "quantum_value_floor", "rh_sic_graph_test", "sic_necessary_conditions",
+    "verify_realization", "write_vector_file", "__version__",
+]
+
+
+def test_all_is_unchanged():
+    assert siccert.__all__ == ALL
+
+
+def test_each_name_is_the_object_its_module_defines():
+    assert siccert.__version__ == "0.1.0"
+    for name in ALL[:-1]:
+        obj = getattr(siccert, name)
+        assert obj.__name__ == name
+        assert obj.__module__.partition(".")[0] == "siccert"
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from siccert import *", namespace)
+    for name in ALL:
+        assert namespace[name] is getattr(siccert, name)
+    assert set(ALL) <= set(dir(siccert))
+
+
+def test_unknown_name():
+    with pytest.raises(AttributeError) as exc:
+        siccert.nope
+    assert str(exc.value) == "module 'siccert' has no attribute 'nope'"
+
+
+def test_each_public_name_is_written_once():
+    # in one table, outside docstrings, and never by a relative import
+    tree = ast.parse(Path(siccert.__file__).read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    words = Counter(word for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    for word in node.value.split())
+    assert {name: words[name] for name in ALL} == dict.fromkeys(ALL, 1)
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,7 +104,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,12 +1,14 @@
 """scipy.optimize and numpy are loaded only by the numeric paths: the
 numeric cutting planes, the numeric orthogonality graph and quantum
 values, and the realization search.  multiprocessing is loaded only
-when a process pool starts.
+when a process pool starts.  `import siccert` loads none of its own
+submodules; reading a name loads the submodule that defines it (and
+what that imports), and `import siccert.cli` loads them all.
 
-Importing them would take most of the time and memory of `import
-siccert`, so the exact commands must never load them.  Each boundary
-check runs in a fresh interpreter, where nothing else has imported
-either yet.  The realization search loads both in the caller before a
+Importing scipy and numpy would take most of the time and memory of
+`import siccert`, so the exact commands must never load them.  Each
+boundary check runs in a fresh interpreter, where nothing else has
+imported either yet.  The realization search loads both in the caller before a
 pool forks, and every call still goes through the module names
 certify.linprog and realize.minimize, which perfbench's tracer and the
 tests replace."""
@@ -68,6 +70,34 @@ print(json.dumps({"before": before, "after": after,
 """
 
 
+LOADS = """
+import json, sys
+import siccert
+exec(sys.argv[1])
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.partition(".")[0] in ("siccert", "numpy", "scipy",
+                               "multiprocessing"))))
+"""
+
+SUBMODULES = ["canon", "certify", "coloring", "enumeration", "exact",
+              "graphs", "realize", "runner"]
+
+TRACER = """
+import json, sys
+import siccert.cli
+sys.path.insert(0, sys.argv[1])
+import tracing
+missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.SPANS + tracing.TASKS
+           if not hasattr(sys.modules.get("siccert." + mod), attr)]
+tracer = tracing.Tracer(sys.argv[2])
+tracer.install()
+import siccert
+siccert.parse_graph6(sys.argv[3])
+print(json.dumps({"missing": missing, "calls": tracer.take()}))
+"""
+
+
 def fresh(script: str, *args: str) -> dict:
     """Run script in a new interpreter that imports this siccert; return
     the JSON object it prints."""
@@ -95,6 +125,45 @@ def test_exact_paths_load_no_scipy(argv):
     assert got["numpy"] == []
     assert got["multiprocessing"] == []
     assert got["code"] == (0 if argv else None)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("", []),
+    ("siccert.parse_graph6(%r)" % YU_OH_G6, ["siccert.graphs"]),
+    ("import siccert.cli",
+     ["siccert.cli"] + [f"siccert.{m}" for m in SUBMODULES]),
+], ids=["import", "parse-graph6", "cli"])
+def test_a_submodule_loads_on_first_use(statement, loaded):
+    assert fresh(LOADS, statement) == sorted(["siccert", *loaded])
+
+
+def test_parse_vector_file_loads_no_census_or_search():
+    got = fresh(LOADS,
+                f"siccert.parse_vector_file(open({YU_OH_VEC!r}).read())")
+    assert "siccert.certify" in got
+    for name in ("siccert.enumeration", "siccert.realize", "siccert.runner",
+                 "numpy", "scipy", "multiprocessing"):
+        assert name not in got
+
+
+def test_bare_import_reaches_every_submodule():
+    # as when __init__.py imported them all; siccert.cli never was
+    statement = (f"for m in {SUBMODULES}:\n"
+                 "    module = getattr(siccert, m)\n"
+                 "    assert module is sys.modules['siccert.' + m]\n"
+                 "assert not hasattr(siccert, 'cli')")
+    assert fresh(LOADS, statement) == \
+        sorted(["siccert", *(f"siccert.{m}" for m in SUBMODULES)])
+
+
+def test_tracer_finds_every_layer(tmp_path):
+    # perfbench/tracing.py looks each layer up in sys.modules after
+    # `import siccert.cli`, then wraps it in place
+    perfbench = Path(siccert.__file__).parents[2] / "perfbench"
+    got = fresh(TRACER, str(perfbench), str(tmp_path / "workers.jsonl"),
+                YU_OH_G6)
+    assert got["missing"] == []
+    assert got["calls"]["graphs.parse_graph6.calls"] == 1
 
 
 def test_numeric_certify_loads_scipy_optimize():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+from conftest import random_graph
 from siccert import fixture_path, realize
 from siccert.enumeration import THIRTEEN_CHI4_G6
 from siccert.graphs import Graph, parse_graph6
@@ -47,16 +48,6 @@ def reference_objective(x: np.ndarray, n: int, d: int, edges, is_complex: bool):
     else:
         g = 2 * grad_v.real
     return f, g.ravel()
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
 
 
 class TestSearch:
@@ -140,6 +131,20 @@ class TestSearch:
                                    match="^seed must be an integer, not "):
                     find_realization(Graph.complete(4), 3, restarts=1,
                                      seed=seed, workers=workers)
+
+    def test_non_integer_workers(self, monkeypatch):
+        # rejected by name before any restart or pool starts, not by
+        # multiprocessing.Pool
+        def no_restarts(*args):
+            raise AssertionError("restarts ran")
+
+        monkeypatch.setattr(realize, "ordered_results", no_restarts)
+        for workers in (1.5, 2.0, 2.5, "2"):
+            with pytest.raises(TypeError) as exc:
+                find_realization(Graph.complete(4), 3, restarts=1,
+                                 workers=workers)
+            assert str(exc.value) == \
+                f"workers must be an integer, not {workers!r}"
 
     @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
     def test_integer_seed_types(self, seed):

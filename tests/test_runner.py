@@ -73,3 +73,20 @@ def test_pool_bounded_by_cpu_count(fake_pool, monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
     assert list(ordered_results(abs, [-1] * 9, workers=64)) == [1] * 9
     assert fake_pool == [5]  # an unknown count runs in this process
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, 2.5, "2", None])
+def test_non_integer_workers(workers):
+    with pytest.raises(TypeError) as exc:
+        runner.check_workers(workers)
+    assert str(exc.value) == f"workers must be an integer, not {workers!r}"
+
+
+def test_integer_workers():
+    np = pytest.importorskip("numpy")
+    for workers in (1, 2, np.int64(2), np.uint8(1)):
+        assert runner.check_workers(workers) is None
+    for workers in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError) as exc:
+            runner.check_workers(workers)
+        assert str(exc.value) == "workers must be at least 1"
