@@ -14,7 +14,8 @@ from .graphs import Graph, iter_bits
 
 
 def equitable_partition(g: Graph, cells: list[int] | None = None,
-                        splitters: list[int] | None = None) -> list[int]:
+                        splitters: list[int] | None = None, *,
+                        _keep: int = -1) -> list[int] | None:
     """Refine an ordered partition until every cell sees uniform degree
     into every other cell.  Cells stay in order; a splitting cell is
     replaced in place by its parts, ordered by ascending degree count.
@@ -29,6 +30,12 @@ def equitable_partition(g: Graph, cells: list[int] | None = None,
     equitable partition and would split nothing when popped, so the
     result is the same list as without splitters.  Refinement stops
     once every cell is a singleton.
+
+    _keep is private to the census: a mask of vertices the last cell
+    must meet (default: any).  The result is None when the last cell of
+    the refined partition misses _keep, and otherwise the same list as
+    without _keep.  A split cell's parts take its place, so the last
+    cell only shrinks: once it misses _keep, refinement stops there.
     """
     rows = g.rows
     n = g.n
@@ -64,7 +71,9 @@ def equitable_partition(g: Graph, cells: list[int] | None = None,
                 out.extend(parts)
                 work.extend(parts)
         cells = out
-    return cells
+        if not cells[-1] & _keep:
+            return None
+    return cells if cells[-1] & _keep else None
 
 
 def _relabel_rows(rows: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:

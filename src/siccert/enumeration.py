@@ -14,18 +14,28 @@ The canonically-last vertex has maximum degree, so the new vertex
 must too.  Attachment sets smaller than the parent's maximum degree
 are never generated, and a set of exactly that size is rejected when
 it holds a vertex of maximum degree, before any child graph is built
-or refined.
+or refined.  A set larger than every old vertex's degree in the child
+leaves the new vertex alone of maximum degree, and so alone in the
+last cell of the root equitable partition, whose first split is by
+degree: that child is accepted before its partition is refined.
 
 Every leaf of the canonical search refines the root equitable
 partition in place, so the canonically-last vertex lies in the root's
 last cell.  A child whose new vertex is outside that cell is rejected,
 and one whose last cell is the new vertex alone is accepted, both
-without a canonical search.  A child accepted that way is
-canonicalized only when its labeling is used: to grow it further, to
-pass its canonical form to a sink, or to print the graph6 line of a
-graph that passes the χ filter.  Counting and the χ test are
-isomorphism-invariant, so they run on the child as built.  The search,
-when it runs, starts from the root partition already computed.
+without a canonical search.  Refinement replaces a cell in place by
+its parts, so the last cell only shrinks: a child's root refinement
+stops, and the child is rejected, as soon as the new vertex leaves
+the last cell.  A child that keeps it runs the full refinement.  A
+child accepted without a search is canonicalized only when its
+labeling is used: to grow it further, to pass its canonical form to a
+sink, or to print the graph6 line of a graph that passes the χ
+filter.  Counting and the χ test are isomorphism-invariant, so they
+run on the child as built.  The search, when it runs, starts from the
+root partition already computed, if any.
+
+Children and canonical forms are built without Graph's checks, since
+their rows are valid by construction.
 """
 
 from __future__ import annotations
@@ -76,7 +86,7 @@ class EnumerationReport:
             return
         if cres is None:
             cres = canonicalize(g, _root=cells)
-        form = Graph(g.n, cres.key)
+        form = Graph._trusted(g.n, cres.key)
         if passes:
             self.filtered.append(encode_graph6(form))
         if sink is not None:
@@ -138,15 +148,16 @@ def _extend(parent: Graph, s: int) -> Graph:
     bit = 1 << parent.n
     rows = tuple(r | bit if s >> v & 1 else r
                  for v, r in enumerate(parent.rows)) + (s,)
-    return Graph(parent.n + 1, rows)
+    return Graph._trusted(parent.n + 1, rows)
 
 
 def _children(parent: Graph, canon: CanonResult, *, require_connected: bool
-              ) -> list[tuple[Graph, list[int], CanonResult | None]]:
+              ) -> list[tuple[Graph, list[int] | None, CanonResult | None]]:
     """Accepted one-vertex extensions of parent, one per class, each
-    with its root equitable partition and its CanonResult, or None
-    when it was accepted without a canonical search.  With
-    require_connected, only the connected ones."""
+    with its root equitable partition, or None when it was accepted
+    without one, and its CanonResult, or None when it was accepted
+    without a canonical search.  With require_connected, only the
+    connected ones."""
     # degree reject: the canonically-last vertex always lies in the
     # last cell of the root equitable partition, which holds only
     # vertices of maximum degree, so the new vertex x can be accepted
@@ -189,11 +200,17 @@ def _children(parent: Graph, canon: CanonResult, *, require_connected: bool
         seen.update(orbit)
 
         child = _extend(parent, s)
+        # degree accept: x of strictly maximum degree is alone in the
+        # last cell, since the first split is by degree, ascending
+        if s.bit_count() > top + bool(s & top_mask):
+            out.append((child, None, None))
+            continue
         # leaf partitions refine the root equitable partition in place,
         # so the canonically-last vertex lies in its last cell.  Cheap
-        # reject: x outside that cell; cheap accept: x alone in it.
-        cells = equitable_partition(child)
-        if not cells[-1] & xbit:
+        # reject: x outside that cell, found as soon as x leaves it;
+        # cheap accept: x alone in it.
+        cells = equitable_partition(child, _keep=xbit)
+        if cells is None:
             continue
         if cells[-1] == xbit:
             out.append((child, cells, None))

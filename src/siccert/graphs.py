@@ -63,6 +63,21 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
                 row ^= low
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """The Graph(n, rows) of rows already known valid, built without
+        __post_init__'s checks.  Only for callers whose rows are valid
+        by construction: the census's _extend (a valid parent's rows
+        plus a new vertex joined both ways to a set of its vertices,
+        at most 13 vertices in all),
+        the canonical form in EnumerationReport.emit (a relabeling of a
+        valid graph's rows) and parse_graph6 (its header gives n in
+        1..64, and it sets each decoded pair in both rows, never on the
+        diagonal and never past n)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, rows=rows)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
@@ -168,7 +183,7 @@ def parse_graph6(text: str) -> Graph:
             i = bit - base
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -23,6 +23,14 @@ def is_independent(g, s: int) -> bool:
     return all(not g.rows[v] & s for v in range(g.n) if s >> v & 1)
 
 
+def assert_passes_checks(g) -> None:
+    """g, however it was built, is a Graph that Graph's own checks
+    accept and that equals the Graph they build from its rows."""
+    assert type(g) is Graph
+    checked = Graph(g.n, g.rows)
+    assert checked == g and hash(checked) == hash(g)
+
+
 def random_graph(n: int, p: float, rng) -> Graph:
     """Each pair an edge with probability p; rng is a random.Random or a
     numpy Generator (only its random() is called)."""

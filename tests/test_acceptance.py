@@ -28,7 +28,6 @@ from siccert.certify import (
     noncontextual_bound_sweep,
     parse_vector_file,
     quantum_value,
-    quantum_value_floor,
 )
 from siccert.coloring import fractional_chromatic_number, rh_sic_graph_test
 from siccert.enumeration import (

@@ -250,6 +250,17 @@ class TestRefinementProperties:
         assert equitable_partition(g, split, parts) == \
             equitable_partition(g, split)
 
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_partitions(), st.integers(0, 2 ** 64), st.booleans())
+    def test_keep_stops_exactly_when_the_last_cell_misses_it(
+            self, case, pick, one_vertex):
+        g, initial = case
+        # one vertex, as the census passes, or any mask within the graph
+        keep = 1 << pick % g.n if one_vertex else pick & g.vertex_mask()
+        full = equitable_partition(g, initial)
+        assert equitable_partition(g, initial, _keep=keep) == \
+            (full if full[-1] & keep else None)
+
 
 def reference_canonicalize(g: Graph) -> tuple:
     """The individualization-refinement search as it stood before its

@@ -33,7 +33,6 @@ from siccert.certify import (
 from siccert.coloring import fractional_chromatic_number
 from siccert.exact import (
     GaussianRational,
-    gm_quadratic_form,
     inner,
     psd_reconstruct,
 )

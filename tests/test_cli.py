@@ -14,6 +14,18 @@ YU_OH_G6 = "L?AB?vOLDPHa`o"
 # sha256 of the stdout of `siccert enumerate --max-n 9`
 CENSUS_9_SHA256 = \
     "18118d6a910312fce2d9f542103bdeed9023b50341ef2e719c51229d16e2bb66"
+# sha256 of the stdout of `siccert enumerate --max-n 10 --output f`, the
+# count table alone; `--chi-gt 3` prints the same, since no class below
+# twelve vertices has χ > 3
+CENSUS_10_TABLE_SHA256 = \
+    "a655413381b2417537bf94dd86722e2557e112e0afce711baf18199f249c251f"
+# sha256 of the file f of `siccert enumerate --max-n 10 --output f`
+CENSUS_10_FILE_SHA256 = \
+    "83f5dace4a1ec0199706648a99c2f0c025320fafcf90cde265e70203a0b95304"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(capsys, *argv):
@@ -69,7 +81,22 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--max-n", "9")
         assert code == 0
         assert len(out.splitlines()) == 1027
-        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_9_SHA256
+        assert sha256(out.encode()) == CENSUS_9_SHA256
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_census_10_output_file(self, capsys, tmp_path, workers):
+        target = tmp_path / "c.g6"
+        code, out, _ = run(capsys, "enumerate", "--max-n", "10",
+                           "--workers", workers, "--output", str(target))
+        assert code == 0
+        assert sha256(out.encode()) == CENSUS_10_TABLE_SHA256
+        assert sha256(target.read_bytes()) == CENSUS_10_FILE_SHA256
+
+    def test_golden_census_10_chi_filter(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--max-n", "10",
+                           "--chi-gt", "3")
+        assert code == 0
+        assert sha256(out.encode()) == CENSUS_10_TABLE_SHA256
 
 
 class TestGraphQueries:

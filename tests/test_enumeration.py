@@ -4,16 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_square_free
+from conftest import assert_passes_checks, random_square_free
 from siccert import enumeration, fixture_path
 from siccert.canon import canonical_key, canonicalize, equitable_partition
 from siccert.coloring import chromatic_number, fractional_chromatic_number
 from siccert.enumeration import (
     THIRTEEN_CHI4_G6,
     YU_OH_G6,
+    EnumerationReport,
     _children,
     _compatible_sets,
+    _extend,
     brute_force_enumerate,
     enumerate_square_free_connected,
 )
@@ -238,6 +242,25 @@ class TestDegreeReject:
                 assert canonicalize(g).order[-1] == last.bit_length() - 1
         assert singletons > 100
 
+    def test_strict_maximum_degree_is_a_singleton_last_cell(self):
+        # the premise of the degree accept in _children
+        rng = random.Random(9)
+        accepted = 0
+        for _ in range(200):
+            g = random_square_free(rng.randint(1, 11), rng)
+            top = max(g.degree(v) for v in range(g.n))
+            for s in _compatible_sets(g, top):
+                child = _extend(g, s)
+                alone = s.bit_count() > max(child.degree(v)
+                                            for v in range(g.n))
+                accepted += alone
+                assert alone == (
+                    s.bit_count() > top + any(
+                        g.degree(v) == top for v in range(g.n) if s >> v & 1))
+                if alone:
+                    assert equitable_partition(child)[-1] == 1 << g.n
+        assert accepted > 500
+
 
 class TestConnectedChildren:
     """The premise of emitting last-level children in _expand without
@@ -260,6 +283,78 @@ class TestConnectedChildren:
         assert children > 200
         # the filter, not the sample, keeps the children connected
         assert disconnected_unfiltered > 200
+
+
+class TestEarlyAbort:
+    """_children refines each child's root partition with _keep set to
+    the new vertex, and gets the full refinement's answer."""
+
+    def test_every_census_child(self):
+        calls = []
+        built = []
+        original = enumeration.equitable_partition
+
+        def recorded(g, *args, **kwargs):
+            out = original(g, *args, **kwargs)
+            calls.append((g, args, kwargs, out))
+            return out
+
+        def extend(parent, s):
+            built.append(_extend(parent, s))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "equitable_partition", recorded)
+            mp.setattr(enumeration, "_extend", extend)
+            report = enumerate_square_free_connected(9)
+        assert report.counts == COUNTS
+        stopped = 0
+        for g, args, kwargs, out in calls:
+            assert args == () and kwargs == {"_keep": 1 << g.n - 1}
+            full = original(g)
+            if full[-1] >> g.n - 1 & 1:
+                assert out == full
+            else:
+                assert out is None
+                stopped += 1
+        # both outcomes occur often in the census
+        assert len(calls) - stopped > 500 and stopped > 500
+        # and so on every child built, degree-accepted ones included
+        for g in built:
+            full = original(g)
+            xbit = 1 << g.n - 1
+            assert original(g, _keep=xbit) == \
+                (full if full[-1] & xbit else None)
+        assert len(built) > len(calls)
+
+
+@st.composite
+def square_free_graphs(draw):
+    n = draw(st.integers(1, 10))
+    return random_square_free(n, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+class TestUncheckedGraphs:
+    """The graphs the census builds without Graph's checks pass them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_free_graphs())
+    def test_children_and_canonical_forms(self, g):
+        forms = []
+        report = EnumerationReport(n_max=g.n + 1)
+        for s in _compatible_sets(g):
+            child = _extend(g, s)
+            assert_passes_checks(child)
+            report.emit(child, None, forms.append)
+        assert len(forms) == report.counts[g.n + 1]
+        for form in forms:
+            assert_passes_checks(form)
+
+    def test_census_forms(self):
+        seen = []
+        enumerate_square_free_connected(8, sink=seen.append)
+        for g in seen:
+            assert_passes_checks(g)
 
 
 COUNTS_10 = {**COUNTS, 10: 3389}

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import is_independent, random_graph
+from conftest import assert_passes_checks, is_independent, random_graph
 from siccert.graphs import (
     CapacityError,
     Graph,
@@ -120,6 +122,25 @@ class TestGraph6:
                 s = encode_graph6(g)
                 h = parse_graph6(s)
                 assert h.n == g.n and h.rows == g.rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.binary(max_size=400))
+    def test_parsed_graphs_pass_the_checks(self, n, data):
+        # any body of the right length in the graph6 range either has
+        # nonzero padding or parses to a graph Graph's checks accept
+        head = chr(63 + n) if n <= 62 else "~?" + chr(63 + (n >> 6)) + \
+            chr(63 + (n & 63))
+        size = (n * (n - 1) // 2 + 5) // 6
+        body = "".join(chr(63 + b % 64) for b in data[:size])
+        body += "?" * (size - len(body))
+        try:
+            g = parse_graph6(head + body)
+        except Graph6Error as exc:
+            assert str(exc).startswith("nonzero padding bits")
+            return
+        assert g.n == n
+        assert_passes_checks(g)
+        assert encode_graph6(g) == head + body
 
     def test_codec_against_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -1,12 +1,12 @@
 """siccert exports the same names as before its submodules loaded on
-first use, every name a module imports is used in that module, every
-private module-level name is read somewhere in the package, every
-public module-level function is exported or called, and only exact.py
-takes rationals apart.
+first use, every name a module or test file imports is used in that
+file, every private module-level name is read somewhere in the package,
+every public module-level function is exported or called, and only
+exact.py takes rationals apart.
 
-Stdlib-only lints.  For imports, each module of the package is parsed,
-and a name bound by an import statement that no other node of the
-module reads is reported.
+Stdlib-only lints.  For imports, each module of the package and each
+file under tests/ is parsed, and a name bound by an import statement
+that no other node of the file reads is reported.
 For private names, a function, class or constant defined at the top of
 any module under a name with one leading underscore is reported when no
 module of the package reads that name, bare or as an attribute.  For
@@ -28,6 +28,7 @@ import pytest
 import siccert
 
 PACKAGE = sorted(Path(siccert.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 # siccert.__all__ when __init__.py imported every submodule itself
 ALL = [
@@ -104,7 +105,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", PACKAGE + TESTS,
+    ids=lambda p: p.name if p in PACKAGE else f"tests/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
