@@ -101,14 +101,6 @@ class ProjectorSet:
         rows = tuple(tuple(complex(x) for x in v) for v in vectors)
         return ProjectorSet(d, rows, exact=False)
 
-    def projector(self, i: int) -> Matrix:
-        """Exact projector matrix for vector i (exact sets only)."""
-        assert self.exact
-        v = self.vectors[i]
-        nrm = inner(v, v)
-        return [[v[a] * v[b].conjugate() / nrm for b in range(self.d)]
-                for a in range(self.d)]
-
     def numeric_vectors(self) -> np.ndarray:
         """Unit-normalized vectors as a complex (n, d) array."""
         import numpy as np
@@ -305,8 +297,8 @@ def orthogonality_graph(s: ProjectorSet, tol: float = 0.0) -> Graph:
                     raise DuplicateProjectorError(
                         f"vectors {i} and {j} are parallel")
     else:
-        if tol <= 0:
-            raise ValueError("numeric orthogonality needs tol > 0")
+        if not 0 < tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         import numpy as np
         arr = s.numeric_vectors()
         overlaps = np.abs(arr @ arr.conj().T)

@@ -320,21 +320,3 @@ def brute_force_enumerate(n: int, *, square_free: bool = False,
             seen.add(key)
             out.append(Graph(n, key))
     return out
-
-
-# the eight 13-vertex square-free connected classes with χ > 3, as
-# graph6; the sixth is the orthogonality graph of the standard
-# 13-vector set in dimension three
-THIRTEEN_CHI4_G6 = (
-    "L?AEB?oDDIQSUS",
-    "L?AEB?oFDHISPS",
-    "L?ABA_oo_iREJa",
-    "L?ABAagF@bWgHc",
-    "L?ABEagE`gH``c",
-    "L?AB?vOLDPHa`o",
-    "L?BDA_gEREHcac",
-    "L?`D@bCUCbDgWc",
-)
-
-YU_OH_G6 = "L?AB?vOLDPHa`o"
-

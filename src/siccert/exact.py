@@ -279,10 +279,8 @@ class LinearProgram:
     """maximize objective · x  s.t.  rows[i] · x <= rhs[i],  x >= 0.
 
     Entries must be rationals: Fractions, ints or numpy integers, which
-    a solve reads as Python ints (over_lcm).  make converts floats,
-    strings and numpy integers to Python-int Fractions (as_fraction).
-    lp_solve_exact names an entry that is not rational; construction
-    does not search for one."""
+    a solve reads as Python ints (over_lcm).  lp_solve_exact names an
+    entry that is not rational; construction does not search for one."""
 
     objective: tuple[Fraction | int, ...]
     rows: tuple[tuple[Fraction | int, ...], ...]
@@ -308,14 +306,6 @@ class LinearProgram:
             if not isinstance(v, Rational):
                 raise TypeError(f"LinearProgram {where} must be rational "
                                 f"(an int or Fraction), not {type(v).__name__}")
-
-    @staticmethod
-    def make(objective, rows, rhs) -> "LinearProgram":
-        return LinearProgram(
-            tuple(as_fraction(x) for x in objective),
-            tuple(tuple(as_fraction(x) for x in r) for r in rows),
-            tuple(as_fraction(x) for x in rhs),
-        )
 
 
 @dataclass(frozen=True)

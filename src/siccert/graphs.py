@@ -118,9 +118,6 @@ class Graph:
             for v in iter_bits(self.rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 

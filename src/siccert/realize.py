@@ -227,6 +227,11 @@ def _one_restart(job) -> RealizationResult:
 _RANK = {"found": 0, "degenerate": 1, "failed": 2}
 
 
+def _check_tolerances(tol: float, delta: float) -> None:
+    if not (0 < tol < math.inf and 0 < delta < math.inf):
+        raise ValueError("tol and delta must be positive and finite")
+
+
 def find_realization(g: Graph, d: int, field: str = "real",
                      restarts: int = 50, tol: float = 1e-12,
                      delta: float = 1e-6, seed: int = 0,
@@ -244,8 +249,7 @@ def find_realization(g: Graph, d: int, field: str = "real",
         raise ValueError("dimension must be at least 2")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if not (0 < tol < math.inf and 0 < delta < math.inf):
-        raise ValueError("tol and delta must be positive and finite")
+    _check_tolerances(tol, delta)
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
     seed = as_integer(seed, "seed")
@@ -265,7 +269,7 @@ def verify_realization(g: Graph, vectors, exact: bool,
                        tol: float = 1e-8, delta: float = 1e-6) -> bool:
     """Independent check of a representation: every edge orthogonal
     and every non-adjacent pair non-parallel, exactly for rational
-    entries or within tolerances otherwise."""
+    entries or otherwise within tol and delta, each positive and finite."""
     if len(vectors) != g.n:
         raise ValueError("vector count does not match vertex count")
     if exact:
@@ -285,6 +289,7 @@ def verify_realization(g: Graph, vectors, exact: bool,
                 elif ip.abs2() == norms[i].re * norms[j].re:
                     return False  # parallel rays on a non-edge
         return True
+    _check_tolerances(tol, delta)
     import numpy as np
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:

@@ -1,10 +1,16 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines
 and echoes them in the terminal summary so they are visible even with
-output capture enabled, and holds the oracles that several test
-modules check against."""
+output capture enabled, and holds the thirteen-vertex classes, the
+oracles and the helpers that several test modules share."""
 
-from siccert.exact import GR_ONE, GR_ZERO
+from siccert import fixture_path
+from siccert.exact import GR_ONE, GR_ZERO, LinearProgram, as_fraction, inner
 from siccert.graphs import Graph
+
+# the eight 13-vertex square-free connected classes with χ > 3, as
+# graph6; the sixth is the orthogonality graph of Yu and Oh's 13 rays
+THIRTEEN_CHI4_G6 = tuple(fixture_path("thirteen_chi4.g6").read_text().split())
+YU_OH_G6 = THIRTEEN_CHI4_G6[5]
 
 acceptance_lines: list[str] = []
 
@@ -21,6 +27,30 @@ def is_independent(g, s: int) -> bool:
     if s >> g.n:
         raise ValueError("vertex mask names vertices outside the graph")
     return all(not g.rows[v] & s for v in range(g.n) if s >> v & 1)
+
+
+def edge_count(g) -> int:
+    return sum(g.degree(v) for v in range(g.n)) // 2
+
+
+def make_lp(objective, rows, rhs) -> LinearProgram:
+    """The LinearProgram of floats, strings, ints or Fractions, each
+    entry converted to a Python-int Fraction (as_fraction)."""
+    return LinearProgram(
+        tuple(as_fraction(x) for x in objective),
+        tuple(tuple(as_fraction(x) for x in r) for r in rows),
+        tuple(as_fraction(x) for x in rhs),
+    )
+
+
+def projector(s, i: int) -> list:
+    """Π_i = v_i v_i†/⟨v_i,v_i⟩ of an exact ProjectorSet, entry by entry
+    in GaussianRationals: the reference for its integer weighted_sum."""
+    assert s.exact
+    v = s.vectors[i]
+    nrm = inner(v, v)
+    return [[v[a] * v[b].conjugate() / nrm for b in range(s.d)]
+            for a in range(s.d)]
 
 
 def assert_passes_checks(g) -> None:

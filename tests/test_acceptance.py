@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 import siccert
-from conftest import record_criterion
+from conftest import (
+    THIRTEEN_CHI4_G6,
+    YU_OH_G6,
+    edge_count,
+    make_lp,
+    record_criterion,
+)
 from siccert import fixture_path
 from siccert.canon import canonical_key
 from siccert.certify import (
@@ -31,14 +37,11 @@ from siccert.certify import (
 )
 from siccert.coloring import fractional_chromatic_number, rh_sic_graph_test
 from siccert.enumeration import (
-    THIRTEEN_CHI4_G6,
-    YU_OH_G6,
     brute_force_enumerate,
     enumerate_square_free_connected,
 )
 from siccert.exact import (
     GaussianRational,
-    LinearProgram,
     gm_is_hermitian,
     gm_quadratic_form,
     lp_solve_exact,
@@ -251,7 +254,7 @@ def _prop_lp_duality() -> bool:
     for _ in range(150):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
-        lp = LinearProgram.make(
+        lp = make_lp(
             [Fraction(rng.randint(-4, 4)) for _ in range(n)],
             [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
              for _ in range(m)],
@@ -329,7 +332,7 @@ def _prop_gradient_fd() -> bool:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         g = Graph(n, tuple(rows))
-        if g.edge_count() == 0:
+        if edge_count(g) == 0:
             continue
         for kind in ("real", "complex"):
             if kind == "complex":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_square_free
+from conftest import THIRTEEN_CHI4_G6, random_graph, random_square_free
 from siccert.canon import (
     automorphism_orbits,
     canonical_graph,
@@ -159,7 +159,6 @@ class TestAgainstNetworkx:
 
 class TestThirteenVertexClasses:
     def test_known_strings_pairwise_distinct(self):
-        from siccert.enumeration import THIRTEEN_CHI4_G6
         keys = {canonical_key(parse_graph6(s)) for s in THIRTEEN_CHI4_G6}
         assert len(keys) == 8
 

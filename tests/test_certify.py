@@ -1,5 +1,6 @@
 """Projector sets, vector files, and the SIC decision pipeline."""
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_jordan_nullspace, random_graph
+from conftest import (
+    edge_count,
+    gauss_jordan_nullspace,
+    projector,
+    random_graph,
+)
 from siccert import fixture_path
 from siccert.canon import canonical_key, canonicalize
 from siccert.certify import (
@@ -78,7 +84,7 @@ class TestProjectorSet:
 
     def test_projector_is_rank_one_idempotent(self):
         s = ProjectorSet.from_exact(2, [(1, 1)])
-        p = s.projector(0)
+        p = projector(s, 0)
         assert p[0][0].re == Fraction(1, 2)
         # idempotent: P^2 = P
         sq = [[sum((p[i][k] * p[k][j] for k in range(2)),
@@ -216,7 +222,7 @@ class TestVectorFiles:
 class TestOrthogonalityGraph:
     def test_yu_oh_graph(self):
         g = orthogonality_graph(yu_oh())
-        assert g.n == 13 and g.edge_count() == 24
+        assert g.n == 13 and edge_count(g) == 24
         assert canonical_key(g) == canonical_key(
             parse_graph6("L?AB?vOLDPHa`o"))
 
@@ -235,6 +241,10 @@ class TestOrthogonalityGraph:
         s = ProjectorSet.from_numeric(2, [(1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError):
             orthogonality_graph(s, tol=0.0)
+        # NaN once gave an edgeless graph and inf a complete one
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                orthogonality_graph(s, tol=tol)
 
     def test_ambiguous_zone(self):
         eps = 3e-8  # overlap inside (tol, 10 tol) for tol = 1e-8
@@ -329,7 +339,7 @@ class TestIntegerRays:
             min_size=s.n, max_size=s.n))
         ref = [[GaussianRational.of(0)] * s.d for _ in range(s.d)]
         for i, wi in enumerate(w):
-            p = s.projector(i)
+            p = projector(s, i)
             ref = [[x + wi * y for x, y in zip(r, pr)]
                    for r, pr in zip(ref, p)]
         assert s.weighted_sum(w) == ref

@@ -5,12 +5,12 @@ import warnings
 
 import pytest
 
+from conftest import YU_OH_G6
 from siccert import fixture_path
 from siccert.cli import main
 from siccert.enumeration import MAX_ENUM_N
 from siccert.graphs import Graph, cone, encode_graph6
 
-YU_OH_G6 = "L?AB?vOLDPHa`o"
 # sha256 of the stdout of `siccert enumerate --max-n 9`
 CENSUS_9_SHA256 = \
     "18118d6a910312fce2d9f542103bdeed9023b50341ef2e719c51229d16e2bb66"
@@ -32,6 +32,82 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# exit code, sha256 of stdout and sha256 of stderr of the exact commands:
+# certify, certify --numeric and inequality on each vector fixture, and
+# each graph query on Yu-Oh's graph and the twelve-vertex class
+EMPTY = sha256(b"")
+GOLDEN = [
+    ("certify yu_oh_d3.vec", 0,
+     "568f93a5d4a3a5da1e91bfd6a3883c95dcfd3f01e2f524cc0dfce98d1cb0ba2c",
+     EMPTY),
+    ("certify --numeric yu_oh_d3.vec", 4,
+     "4402a0e6bd76990784e544be0cfc2604129710f9585b242eaf5cda65ba54a26e",
+     EMPTY),
+    ("inequality yu_oh_d3.vec", 0,
+     "e4a8d6de65675c15920a80bff40b1e171d2f00887f842cf630ac7399fbcf4519",
+     EMPTY),
+    ("certify cone_yu_oh_d4.vec", 3,
+     "fec5f06d86cba7f03776d9b659522538a935a1c8d7c98e7146b6bfea07bf546b",
+     EMPTY),
+    ("certify --numeric cone_yu_oh_d4.vec", 4,
+     "d8b02ddf32364579a29725dfcb1f033c02960ad3a408623fa57beeac1965f5eb",
+     EMPTY),
+    ("inequality cone_yu_oh_d4.vec", 3,
+     "1a39f8f00aa7354bd10e2e2ee793a5c58c200f3a69777284ec96b389925aa261",
+     "11d6fe861b18a372eb4a8451450f02340043bf2ca94cc4169a67f96f42a67cb8"),
+    ("certify basis_d3.vec", 3,
+     "e57554cb2d22df3a7ae13ce4c80c2becc636399fe6037b1a91b9ef84d9000a39",
+     EMPTY),
+    ("certify --numeric basis_d3.vec", 4,
+     "d8b02ddf32364579a29725dfcb1f033c02960ad3a408623fa57beeac1965f5eb",
+     EMPTY),
+    ("inequality basis_d3.vec", 3,
+     "1a39f8f00aa7354bd10e2e2ee793a5c58c200f3a69777284ec96b389925aa261",
+     "11d6fe861b18a372eb4a8451450f02340043bf2ca94cc4169a67f96f42a67cb8"),
+    ("graph chi L?AB?vOLDPHa`o", 0,
+     "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+     EMPTY),
+    ("graph chif L?AB?vOLDPHa`o", 0,
+     "339a1cf63bfab55fe292a90d8251ec0b89a1dc890294bfca0a3fb07cf9d14753",
+     EMPTY),
+    ("graph square-free L?AB?vOLDPHa`o", 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     EMPTY),
+    ("graph connected L?AB?vOLDPHa`o", 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     EMPTY),
+    ("graph cone L?AB?vOLDPHa`o", 0,
+     "ca684f912f691ea8fe2d60e14db10cbe4836c9b42388f700102c5eb989829a52",
+     EMPTY),
+    ("graph chi K_GTCceEQHHB", 0,
+     "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+     EMPTY),
+    ("graph chif K_GTCceEQHHB", 0,
+     "c2c9d6288dc430f547f0bf408fc7c8d8a4c026ec4715cb68d2e37ebb9529bff9",
+     EMPTY),
+    ("graph square-free K_GTCceEQHHB", 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     EMPTY),
+    ("graph connected K_GTCceEQHHB", 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     EMPTY),
+    ("graph cone K_GTCceEQHHB", 0,
+     "0a9b64130e9f3f87df34fe028a68acdba1b449852fa5d5f160393cdd715ba3c7",
+     EMPTY),
+]
+
+
+@pytest.mark.parametrize("command, code, out, err", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_golden_output(capsys, command, code, out, err):
+    *argv, last = command.split()
+    if last.endswith(".vec"):
+        last = str(fixture_path(last))
+    got = run(capsys, *argv, last)
+    assert got[0] == code
+    assert (sha256(got[1].encode()), sha256(got[2].encode())) == (out, err)
 
 
 class TestEnumerate:

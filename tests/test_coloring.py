@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_independent, random_graph
+from conftest import (
+    THIRTEEN_CHI4_G6,
+    YU_OH_G6,
+    is_independent,
+    random_graph,
+)
 from siccert.coloring import (
     chi_greater_than,
     chromatic_number,
@@ -16,10 +21,7 @@ from siccert.coloring import (
     rh_sic_graph_test,
     sic_necessary_conditions,
 )
-from siccert.enumeration import (
-    THIRTEEN_CHI4_G6,
-    enumerate_square_free_connected,
-)
+from siccert.enumeration import enumerate_square_free_connected
 from siccert.graphs import (
     Graph,
     cone,
@@ -32,7 +34,7 @@ PETERSEN = Graph.from_edges(10, [
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)])
 
-YU_OH = parse_graph6("L?AB?vOLDPHa`o")
+YU_OH = parse_graph6(YU_OH_G6)
 TWELVE = parse_graph6("K_GTCceEQHHB")
 
 

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_jordan_nullspace
+from conftest import (
+    THIRTEEN_CHI4_G6,
+    YU_OH_G6,
+    gauss_jordan_nullspace,
+    make_lp,
+)
 from siccert.exact import (
     GR_ONE,
     GR_ZERO,
@@ -208,7 +213,7 @@ class TestAgainstSympy:
 
 
 def solve(objective, rows, rhs):
-    return lp_solve_exact(LinearProgram.make(objective, rows, rhs))
+    return lp_solve_exact(make_lp(objective, rows, rhs))
 
 
 class TestExactLp:
@@ -285,17 +290,17 @@ class TestExactLp:
             with pytest.raises(TypeError, match=rf"^LinearProgram {re.escape(where)} "
                                rf"must be rational .*, not {type(bad).__name__}$"):
                 lp_solve_exact(lp)
-        # rationals of every type pass, and make still converts
+        # rationals of every type pass, and make_lp converts the rest
         assert lp_solve_exact(LinearProgram(
             (True, Fraction(1, 2)), ((np.int64(1), 0), (0, 1)), (1, 1))).value == \
             Fraction(3, 2)
-        assert LinearProgram.make([0.5], [["1/3"]], [1]).rows == ((Fraction(1, 3),),)
+        assert make_lp([0.5], [["1/3"]], [1]).rows == ((Fraction(1, 3),),)
 
     def test_make_validates(self):
         with pytest.raises(ValueError):
-            LinearProgram.make([1], [[1, 2]], [1])  # width mismatch
+            LinearProgram((1,), ((1, 2),), (1,))  # width mismatch
         with pytest.raises(ValueError):
-            LinearProgram.make([1], [[1]], [1, 2])  # rhs length mismatch
+            LinearProgram((1,), ((1,),), (1, 2))  # rhs length mismatch
 
 
 # sha256 of the results of random_lps(10, 400), taken with a full
@@ -429,7 +434,7 @@ def random_lps(seed: int, count: int):
         objective = [q() for _ in range(nv)]
         rows = [[q() for _ in range(nv)] for _ in range(m)]
         rhs = [Fraction(rng.randint(-5, 6), rng.choice((1, 2))) for _ in range(m)]
-        yield LinearProgram.make(objective, rows, rhs)
+        yield make_lp(objective, rows, rhs)
 
 
 def test_lp_results_golden():
@@ -561,7 +566,7 @@ def fraction_lp_solve(lp: LinearProgram, pivots: list, stats: Counter):
     appended to pivots as (entering, leaving); stats counts ratio-test
     ties, artificials that re-enter and drive-out pivots."""
     # Fraction entries, so that every quotient is exact for int data too
-    lp = LinearProgram.make(lp.objective, lp.rows, lp.rhs)
+    lp = make_lp(lp.objective, lp.rows, lp.rhs)
     nv = len(lp.objective)
     m = len(lp.rows)
     art = nv + m
@@ -679,8 +684,8 @@ def degenerate_lps(seed: int, count: int):
                 rhs.append(s * rhs[k])
         order = list(range(len(rows)))
         rng.shuffle(order)
-        yield LinearProgram.make(objective, [rows[i] for i in order],
-                                 [rhs[i] for i in order])
+        yield make_lp(objective, [rows[i] for i in order],
+                      [rhs[i] for i in order])
 
 
 def test_pivots_match_fraction_reference():
@@ -729,7 +734,7 @@ def grown_lp_sequences(seed: int, count: int):
             else:
                 rows.append([q() for _ in range(nv)])
                 rhs.append(Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.choice((1, 2))))
-            seq.append(LinearProgram.make(objective, rows, rhs))
+            seq.append(make_lp(objective, rows, rhs))
         yield seq
 
 
@@ -816,13 +821,12 @@ def chi_f_lp_sequences(graphs):
 
 
 def test_chi_f_sequences_replay_the_reference_path():
-    from siccert.enumeration import THIRTEEN_CHI4_G6
     from siccert.graphs import Graph, cone, parse_graph6
 
     rng = random.Random(41)
     graphs = [parse_graph6(s) for s in THIRTEEN_CHI4_G6]
     # the twelve-vertex class and cone(Yu–Oh)
-    graphs += [parse_graph6("K_GTCceEQHHB"), cone(parse_graph6("L?AB?vOLDPHa`o"))]
+    graphs += [parse_graph6("K_GTCceEQHHB"), cone(parse_graph6(YU_OH_G6))]
     for _ in range(30):
         n = rng.randint(5, 10)
         p = rng.random()

@@ -1,22 +1,28 @@
 """siccert exports the same names as before its submodules loaded on
 first use, every name a module or test file imports is used in that
-file, every private module-level name is read somewhere in the package,
-every public module-level function is exported or called, and only
+file, every private name and private method is read somewhere in the
+package, every public function, constant, method and property is
+exported, read by the package or listed in UNCALLED_PUBLIC, and only
 exact.py takes rationals apart.
 
 Stdlib-only lints.  For imports, each module of the package and each
 file under tests/ is parsed, and a name bound by an import statement
 that no other node of the file reads is reported.
-For private names, a function, class or constant defined at the top of
-any module under a name with one leading underscore is reported when no
-module of the package reads that name, bare or as an attribute.  For
-public functions, a function defined at the top of a module under a
-name without a leading underscore is reported when it is not in
-siccert.__all__ and no module of the package reads it outside its own
-body.  For rationals, a module other than exact.py is reported where it
-reads .numerator, .denominator or .as_integer_ratio, or uses math.lcm:
-exact.over_lcm is the one place rationals become integer numerators,
-and the one that forces Python ints."""
+For module-level names, a function, class or constant defined at the
+top of any module under a name with one leading underscore is reported
+when no module of the package reads that name, bare or as an
+attribute; a public function or constant is reported when it is not in
+siccert.__all__ and no module reads it (a function outside its own
+body).  Methods, static methods, class methods and properties of
+module-level classes, dunder methods aside, are keyed as Class.name and
+reported, public or private, when nothing outside their own body reads
+them: a method or property is read by any attribute of its name, but a
+static or class method only as Class.name, or as cls.name or self.name
+inside its own class, so that a local variable of the same spelling
+does not hide it.  For rationals, a module other than exact.py is
+reported where it reads .numerator, .denominator or .as_integer_ratio,
+or uses math.lcm: exact.over_lcm is the one place rationals become
+integer numerators, and the one that forces Python ints."""
 
 import ast
 import sys
@@ -119,32 +125,90 @@ def test_lint_sees_an_unused_import():
     assert unused_imports(src) == ["line 3: F"]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = set()
+def _reads(tree) -> Counter:
+    """How often each name is read, bare or as an attribute."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def _defined(node) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _methods(tree):
+    """(class, method, static) for each method of each module-level
+    class, dunder methods left out; static is True for a static or
+    class method."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("__")):
+                    static = any(isinstance(d, ast.Name) and d.id in
+                                 ("staticmethod", "classmethod")
+                                 for d in node.decorator_list)
+                    yield cls, node, static
+
+
+def _attributes(trees) -> dict[str, list]:
+    """Each attribute node of the trees, by attribute name."""
+    out = {}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+            if isinstance(node, ast.Attribute):
+                out.setdefault(node.attr, []).append(node)
+    return out
+
+
+def _method_is_read(attributes, cls, method, static) -> bool:
+    """Whether cls.method is read outside its own body.  A method or
+    property is read by any attribute of its name; a static or class
+    method only as cls.method, or as cls.method or self.method inside
+    its own class."""
+    own = {id(node) for node in ast.walk(method)}
+    inside = {id(node) for node in ast.walk(cls)}
+    return any(
+        not static or isinstance(node.value, ast.Name) and (
+            node.value.id == cls.name
+            or node.value.id in ("cls", "self") and id(node) in inside)
+        for node in attributes.get(method.name, ()) if id(node) not in own)
+
+
+def _report(found) -> list[str]:
+    return [f"{module} line {line}: {name}"
+            for module, line, name in sorted(found)]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    attributes = _attributes(trees)
     unread = []
-    for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                                ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            unread += [f"{module} line {node.lineno}: {name}" for name in names
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in read]
-    return unread
+    for module, tree in trees.items():
+        unread += [(module, node.lineno, name) for node in tree.body
+                   for name in _defined(node)
+                   if _private(name) and not read[name]]
+        unread += [(module, method.lineno, f"{cls.name}.{method.name}")
+                   for cls, method, static in _methods(tree)
+                   if _private(method.name)
+                   and not _method_is_read(attributes, cls, method, static)]
+    return _report(unread)
 
 
 def test_no_unread_private_name():
@@ -157,14 +221,20 @@ def test_lint_sees_an_unread_private_name():
         "a.py": ("def _called():\n    return _TABLE\n"
                  "def _dead():\n    pass\n"
                  "_TABLE = {}\n_LIMIT: int = 3\n__all__ = []\n"
-                 "class _Gone:\n    pass\n"),
-        "b.py": "from . import a\nprint(a._LIMIT, a._called())\n",
+                 "class _Gone:\n    pass\n"
+                 "class C:\n"
+                 "    def __init__(self):\n        self._used()\n"
+                 "    def _used(self):\n        return 0\n"
+                 "    def _loop(self):\n        return self._loop()\n"
+                 "    @staticmethod\n    def _made():\n        pass\n"),
+        "b.py": "from . import a\nprint(a._LIMIT, a._called(), x._made)\n",
     }
-    assert unread_private_names(sources) == ["a.py line 3: _dead",
-                                             "a.py line 8: _Gone"]
+    assert unread_private_names(sources) == [
+        "a.py line 3: _dead", "a.py line 8: _Gone", "a.py line 15: C._loop",
+        "a.py line 18: C._made"]
 
 
-# Public helpers kept without a caller in the package, each for a reason.
+# Public names kept without a reader in the package, each for a reason.
 UNCALLED_PUBLIC = {
     "noncontextual_bound_sweep":
         "the 2^n cross-check of noncontextual_bound, for a replayable "
@@ -175,38 +245,39 @@ UNCALLED_PUBLIC = {
     "objective_and_gradient":
         "the realize objective as a function of the vectors, kept for the "
         "finite-difference gradient tests",
+    "Graph.complete": "a natural constructor, built by many tests",
+    "Graph.cycle": "a natural constructor, built by many tests",
+    "Graph.path": "a natural constructor, built by many tests",
 }
 
 
-def _reads(tree) -> Counter:
-    """How often each name is read, bare or as an attribute."""
-    out = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
-    return out
-
-
-def uncalled_public_functions(sources: dict[str, str],
-                              exported) -> list[str]:
+def unread_public_names(sources: dict[str, str], exported) -> list[str]:
+    """Public module-level functions and constants that are not exported
+    and that no module reads (a function outside its own body), and
+    public methods and properties of module-level classes that no
+    module reads, keyed as Class.name."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = sum((_reads(tree) for tree in trees.values()), Counter())
-    uncalled = []
-    for module, tree in sorted(trees.items()):
+    attributes = _attributes(trees)
+    unread = []
+    for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")
-                    and node.name not in exported
-                    and read[node.name] == _reads(node)[node.name]):
-                uncalled.append(f"{module} line {node.lineno}: {node.name}")
-    return uncalled
+            if isinstance(node, ast.ClassDef):
+                continue
+            own = _reads(node)
+            unread += [(module, node.lineno, name) for name in _defined(node)
+                       if not name.startswith("_") and name not in exported
+                       and read[name] == own[name]]
+        unread += [(module, method.lineno, f"{cls.name}.{method.name}")
+                   for cls, method, static in _methods(tree)
+                   if not method.name.startswith("_")
+                   and not _method_is_read(attributes, cls, method, static)]
+    return _report(unread)
 
 
 def test_no_uncalled_public_function():
     sources = {p.name: p.read_text() for p in PACKAGE}
-    found = uncalled_public_functions(sources, siccert.__all__)
+    found = unread_public_names(sources, siccert.__all__)
     assert sorted(name.rsplit(": ", 1)[1] for name in found) == \
         sorted(UNCALLED_PUBLIC)
 
@@ -221,8 +292,30 @@ def test_lint_sees_an_uncalled_public_function():
                  "def _private():\n    pass\n"),
         "b.py": "from . import a\nprint(a.by_b())\n",
     }
-    assert uncalled_public_functions(sources, ["exported"]) == [
+    assert unread_public_names(sources, ["exported"]) == [
         "a.py line 5: recursive", "a.py line 7: planted"]
+
+
+def test_lint_sees_unread_methods_and_constants():
+    sources = {
+        "a.py": ("LIMIT = 3\nUNREAD = 4\nTABLE: dict = {}\n"
+                 "class G:\n"
+                 "    def read(self):\n        return LIMIT\n"
+                 "    def loop(self, k):\n        return self.loop(k)\n"
+                 "    @staticmethod\n    def path(n):\n        pass\n"
+                 "    @staticmethod\n    def empty(n):\n        pass\n"
+                 "    @classmethod\n    def full(cls, n):\n"
+                 "        return cls.empty(n)\n"
+                 "    @property\n    def size(self):\n        return 0\n"
+                 "    @property\n    def order(self):\n        return 0\n"
+                 "    def __len__(self):\n        return 0\n"),
+        "b.py": ("from .a import G, TABLE\n"
+                 "def run(g):\n    path = g.read() + g.order + TABLE\n"
+                 "    return path, G.full(2), g.path\n"),
+    }
+    assert unread_public_names(sources, []) == [
+        "a.py line 2: UNREAD", "a.py line 7: G.loop", "a.py line 10: G.path",
+        "a.py line 19: G.size", "b.py line 2: run"]
 
 
 RATIONAL_PARTS = {"numerator", "denominator", "as_integer_ratio"}

@@ -22,11 +22,11 @@ from pathlib import Path
 import pytest
 
 import siccert
+from conftest import YU_OH_G6
 from siccert import certify, fixture_path, realize
 from siccert.certify import certify_sic, parse_vector_file
 from siccert.graphs import Graph
 
-YU_OH_G6 = "L?AB?vOLDPHa`o"
 YU_OH_VEC = str(fixture_path("yu_oh_d3.vec"))
 
 BOUNDARY = """

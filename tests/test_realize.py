@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from conftest import random_graph
+from conftest import THIRTEEN_CHI4_G6, YU_OH_G6, edge_count, random_graph
 from siccert import fixture_path, realize
-from siccert.enumeration import THIRTEEN_CHI4_G6
 from siccert.graphs import Graph, parse_graph6
 from siccert.realize import (
     find_realization,
@@ -17,7 +16,7 @@ from siccert.realize import (
     verify_realization,
 )
 
-YU_OH = parse_graph6("L?AB?vOLDPHa`o")
+YU_OH = parse_graph6(YU_OH_G6)
 
 YO_VECTORS = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -280,7 +279,7 @@ class TestObjective:
         for _ in range(6):
             n, d = 6, 3
             g = random_graph(n, 0.5, rng)
-            if g.edge_count() == 0:
+            if edge_count(g) == 0:
                 continue
             for kind in ("real", "complex"):
                 if kind == "complex":
@@ -397,6 +396,13 @@ class TestVerify:
                                   tol=1e-8)
         assert not verify_realization(Graph.complete(3), ok, exact=False,
                                       tol=1e-12)
+        # a NaN or infinite tol once passed a non-orthogonal edge, and a
+        # NaN delta parallel rays on a non-edge
+        for option in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+                       {"delta": math.nan}, {"delta": math.inf}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                verify_realization(Graph.complete(2), [(1, 0), (1, 1)],
+                                   exact=False, **option)
 
     @pytest.mark.parametrize("vectors", [
         [(math.nan, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
