@@ -1,9 +1,12 @@
 """End-to-end command-line coverage using the bundled fixtures."""
 
 import hashlib
+import platform
 import warnings
 
+import numpy
 import pytest
+import scipy
 
 from conftest import YU_OH_G6
 from siccert import fixture_path
@@ -36,7 +39,9 @@ def run(capsys, *argv):
 
 # exit code, sha256 of stdout and sha256 of stderr of the exact commands:
 # certify, certify --numeric and inequality on each vector fixture, and
-# each graph query on Yu-Oh's graph and the twelve-vertex class
+# each graph query on Yu-Oh's graph and the twelve-vertex class; then of
+# realize on Yu-Oh's graph at one and two workers and in the complex
+# field, on C4 in two labellings and on K4
 EMPTY = sha256(b"")
 GOLDEN = [
     ("certify yu_oh_d3.vec", 0,
@@ -96,7 +101,34 @@ GOLDEN = [
     ("graph cone K_GTCceEQHHB", 0,
      "0a9b64130e9f3f87df34fe028a68acdba1b449852fa5d5f160393cdd715ba3c7",
      EMPTY),
+    # realize prints residuals and vectors to the last bit, and those
+    # bits depend on the BLAS that numpy and scipy call: these pins were
+    # taken under PINNED_UNDER, and a mismatch names both versions
+    ("realize --dim 3 --seed 0 --workers 1 L?AB?vOLDPHa`o", 0,
+     "6f94db49a9d60c6c274eed47421e846cc72af69bb309abce6130b30d76b29eb9",
+     EMPTY),
+    ("realize --dim 3 --seed 0 --workers 2 L?AB?vOLDPHa`o", 0,
+     "6f94db49a9d60c6c274eed47421e846cc72af69bb309abce6130b30d76b29eb9",
+     EMPTY),
+    ("realize --dim 3 Cr", 3,
+     "2401144d00e61124d426e6ed3ddb45a76004b690a0c8823f307f709a407a7eec",
+     EMPTY),
+    ("realize --dim 3 C]", 3,
+     "7623da1465fe3021a79e033c515b39a788288939263e5ce091ee00d3ede08bd8",
+     EMPTY),
+    ("realize --dim 3 --restarts 10 C~", 4,
+     "1f74e7f3b37c7af3d350453d681df0467b423ef1287d3305e25421d6a7587941",
+     EMPTY),
+    ("realize --dim 3 --field complex --restarts 5 --seed 1 L?AB?vOLDPHa`o",
+     0, "7ba6244860f7d68e1bd7ab13397f13769c0de4091fa28187a1558bc0af69fb8c",
+     EMPTY),
 ]
+PINNED_UNDER = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
+
+
+def versions() -> str:
+    return (f"Python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"scipy {scipy.__version__}")
 
 
 @pytest.mark.parametrize("command, code, out, err", GOLDEN,
@@ -106,8 +138,8 @@ def test_golden_output(capsys, command, code, out, err):
     if last.endswith(".vec"):
         last = str(fixture_path(last))
     got = run(capsys, *argv, last)
-    assert got[0] == code
-    assert (sha256(got[1].encode()), sha256(got[2].encode())) == (out, err)
+    assert (got[0], sha256(got[1].encode()), sha256(got[2].encode())) == \
+        (code, out, err), f"pinned under {PINNED_UNDER}, run under {versions()}"
 
 
 class TestEnumerate:
